@@ -7,8 +7,8 @@ SMOKE_CACHE := .bench-smoke-cache
 A3_RESULT   := benchmarks/results/claim_a3_identification_quality_scheme_x_routing_matrix.txt
 
 .PHONY: test test-faults test-sharded bench bench-smoke bench-reflection \
-	bench-throughput bench-batched bench-sharded bench-victim profile \
-	clean-cache lint lint-sarif sanitize-smoke typecheck
+	bench-throughput bench-batched bench-sharded bench-victim bench-repo-test \
+	profile clean-cache lint lint-sarif sanitize-smoke typecheck
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -98,6 +98,13 @@ test-sharded:
 bench-victim:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_victim_analysis.py -q
 	$(PYPATH) $(PY) benchmarks/check_victim.py
+
+# The repository benchmark's own tests (perfbench/: workloads, output
+# checks, span arithmetic). They are not in the tier-1 testpaths. This
+# target never runs perfbench/run.py, which appends to the committed
+# perfbench/history.jsonl.
+bench-repo-test:
+	$(PY) -m pytest perfbench -q
 
 # Event-level profile of the standard 64-node torus workload: top-10
 # labels/callsites by cumulative wall-clock time inside callbacks.

@@ -2,26 +2,34 @@
 
 The exact engine executes one discrete event per packet per hop stage;
 Python dispatch dominates at scale. This engine advances the *whole live
-cohort* one hop per round with numpy column operations:
+cohort* one hop per round with numpy column operations. Rows live in a
+rank-indexed store (slot r of every column belongs to the row of
+activation rank r), and per-row work is spent only on the *fresh* rows —
+those activated this round or advanced last round; rows waiting behind a
+full channel sit in a (channel, rank) queue:
 
 1. **activate** — injections whose time fell below the round frontier join
-   the cohort (vectorized ``on_inject`` words, TTL, VCT injection overhead);
-2. **retire** — rows at their destination deliver (bulk statistics, columnar
-   :class:`~repro.network.markstream.DeliveryRing` feed); rows over the
-   watchdog hop ceiling or out of TTL drop with counted reasons;
-3. **route** — next-hop candidates come from the routers' own memoized
-   tables (``routed_candidates`` for stateless routers,
-   oracle-profitable ``minimal_candidates`` for fault-free fully-adaptive),
-   probed once per distinct (node, destination) pair and replayed as padded
-   candidate arrays;
+   the fresh set (vectorized ``on_inject`` words, TTL, VCT injection
+   overhead);
+2. **retire** — fresh rows at their destination deliver (bulk statistics,
+   columnar :class:`~repro.network.markstream.DeliveryRing` feed); fresh
+   rows over the watchdog hop ceiling or out of TTL drop with counted
+   reasons. Waiting rows cannot newly retire: nothing about them changed;
+3. **route** — next-hop candidates for fresh rows: closed-form minimal
+   steps for minimal routers on mesh/torus/hypercube, else the router's
+   own ``routed_candidates`` probed once per distinct (node, destination)
+   pair and replayed as padded candidate arrays;
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
-   (``"batched-cohort"``), so runs are deterministic per seed;
-5. **admit** — credit-based channel admission: at most ``buffer_capacity``
-   rows enter each directed channel per round; the rest wait a round and
-   feed the congestion signal;
-6. **advance** — admitted rows decrement TTL, apply the vectorized marking
-   transform, and step to the next node.
+   (``"batched-cohort"``), over fresh rows in rank order, so runs are
+   deterministic per seed;
+5. **admit** — credit-based channel admission: fresh rows merge into the
+   (channel, rank) queue and at most ``buffer_capacity`` rows enter each
+   directed channel per round, lowest rank first; the rest wait a round
+   and feed the congestion signal;
+6. **advance** — admitted rows, in rank order, decrement TTL, apply the
+   vectorized marking transform, and step to the next node; they are the
+   next round's fresh rows.
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -310,15 +318,17 @@ def _marker_for(scheme, topology: Topology):
 # Route planning
 # ----------------------------------------------------------------------
 class _RoutePlanner:
-    """Padded candidate tables probed from the routers' own memoized paths.
+    """Padded candidate arrays for the fresh rows' (node, destination) pairs.
 
-    Stateless routers answer ``routed_candidates`` from a pure
-    (node, destination) key — their memo *is* the table. Fault-free
-    fully-adaptive (prefer-minimal) reduces to ``minimal_candidates``
-    because every live minimal step exists, so the misroute fallback never
-    fires. Everything else (Valiant detours, odd-even's turn history,
-    misrouting around faults) depends on per-packet route state the cohorts
-    do not carry — refused with a pointer back to the exact engine.
+    Pure-minimal routers on coordinate topologies (minimal-adaptive, and
+    fault-free fully-adaptive, which prefers minimal steps and never needs
+    its misroute fallback because every minimal step exists) are answered
+    in closed form from the distance vector, per row, with no table.
+    Other stateless routers answer ``routed_candidates`` from a pure
+    (node, destination) key, probed once per distinct pair into a memo.
+    Everything else (Valiant detours, odd-even's turn history, misrouting
+    around faults) depends on per-packet route state the cohorts do not
+    carry — refused with a pointer back to the exact engine.
     """
 
     def __init__(self, router: Router, topology: Topology):
@@ -326,10 +336,7 @@ class _RoutePlanner:
         self.n = topology.num_nodes
         live = len(topology.to_edge_list())
         failed = len(topology.to_edge_list(include_failed=True)) - live
-        # Pure-minimal routers on coordinate topologies skip the per-pair
-        # Python probe entirely: their candidate sets are closed-form in the
-        # distance vector, so unseen pairs fill in bulk with array math.
-        self._minimal_bulk = (
+        self._closed_form = (
             topology.kind in ("mesh", "torus", "hypercube")
             and (isinstance(router, MinimalAdaptiveRouter)
                  or (isinstance(router, FullyAdaptiveRouter)
@@ -352,42 +359,53 @@ class _RoutePlanner:
             )
         width = max(topology.degree(), 1)
         self.width = width
-        self._state = RouteState(0)
-        self._count = 0
-        # Dense (node, destination) -> table-row map: one int32 per pair.
-        # Direct fancy indexing beats the unique+dict probe by an order of
-        # magnitude per round, and even the 64x64 torus (4096^2 pairs) costs
-        # only 64 MB — transient, sized to the run.
-        self._row_of = np.full(self.n * self.n, -1, dtype=np.int32)
-        self._cand = np.full((256, width), -1, dtype=np.int64)
-        self._deg = np.zeros(256, dtype=np.int64)
-        if self._minimal_bulk:
+        if self._closed_form:
             self._build_step_tables(failed)
+        else:
+            # Probe memo: dense (node, destination) -> memo-row map, filled
+            # one distinct pair at a time by the router itself.
+            self._state = RouteState(0)
+            self._count = 0
+            self._row_of = np.full(self.n * self.n, -1, dtype=np.int32)
+            self._cand = np.full((256, width), -1, dtype=np.int64)
+            self._deg = np.zeros(256, dtype=np.int64)
 
     def _build_step_tables(self, failed: int) -> None:
-        """Precompute coordinate strides and per-axis step targets.
+        """Precompute per-axis coordinates, step targets and step signs.
 
-        ``_step[node, axis, d]`` is the neighbor one hop along ``axis`` in
-        direction d (0 = minus, 1 = plus), -1 when the topology has no such
-        link. Everything the bulk fill needs afterwards is fancy indexing.
+        ``_step[node * 2 * ndims + 2 * axis + d]`` is the neighbor one hop
+        along ``axis`` in direction d (0 = minus, 1 = plus), -1 when the
+        topology has no such link. Per axis, ``_axes`` holds the nodes'
+        coordinates, a table mapping a coordinate difference (offset by
+        ``k - 1``) to the sign of its minimal step, and that offset.
+        Everything the closed form needs afterwards is fancy indexing.
         """
         topology = self.topology
-        dims = np.asarray(topology.dims, dtype=np.int64)
-        ndims = dims.size
-        self._dims = dims
-        self._coords = np.array(
+        dims = [int(k) for k in topology.dims]
+        ndims = len(dims)
+        coords = np.array(
             [topology.coord(i) for i in topology.nodes()], dtype=np.int64)
         strides = np.ones(ndims, dtype=np.int64)
         for axis in range(ndims - 2, -1, -1):  # per-axis, once at build
             strides[axis] = strides[axis + 1] * dims[axis + 1]
         nodes = np.arange(self.n, dtype=np.int64)
         step = np.full((self.n, ndims, 2), -1, dtype=np.int64)
+        axes = []
+        torus = topology.kind == "torus"
         wrap = topology.kind != "mesh"  # torus and hypercube wrap
-        for axis in range(ndims):  # per-axis, once at build
-            k = int(dims[axis])
+        for axis, k in enumerate(dims):  # per-axis, once at build
+            c = np.ascontiguousarray(coords[:, axis])
+            diff = np.arange(1 - k, k, dtype=np.int64)
+            if torus:
+                # Fold to the minimal signed residue, ties positive —
+                # matching ``torus_distance_vector``.
+                diff %= k
+                diff -= (diff > k // 2) * k
+            # Mesh difference; hypercube coords are bits, difference in
+            # {-1, 0, 1} with both directions equivalent.
+            axes.append((c, np.sign(diff), k - 1))
             if k == 1 or (not wrap and k < 2):
                 continue
-            c = self._coords[:, axis]
             for d, delta in ((0, -1), (1, 1)):  # two directions
                 if wrap:
                     c2 = (c + delta) % k
@@ -396,7 +414,8 @@ class _RoutePlanner:
                     c2 = c + delta
                     ok = (c2 >= 0) & (c2 < k)
                     step[ok, axis, d] = nodes[ok] + delta * strides[axis]
-        self._step = step
+        self._axes = axes
+        self._step = step.reshape(-1)
         self._edge_up = None
         if failed:
             up = np.ones(self.n * self.n, dtype=bool)
@@ -410,45 +429,34 @@ class _RoutePlanner:
                     up[b * self.n + a] = False
             self._edge_up = up
 
-    def _insert_bulk(self, keys: np.ndarray) -> None:
-        """Vectorized minimal-candidates fill for unseen (node, dest) pairs.
+    def _minimal(self, cur: np.ndarray,
+                 dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed-form minimal candidates, one padded row per input row.
 
         Mirrors :meth:`Router.minimal_candidates` exactly: per axis in
-        ascending order, the single profitable live step (torus offsets fold
-        to the minimal signed residue, ties positive — matching
-        ``torus_distance_vector``); hypercube axes with a differing bit
-        toggle that bit.
+        ascending order, the single profitable live step (see
+        ``_build_step_tables`` for the torus fold); hypercube axes with a
+        differing bit toggle that bit.
         """
-        m = keys.size
-        cur = keys // self.n
-        dst = keys % self.n
-        if self.topology.kind == "torus":
-            vec = (self._coords[dst] - self._coords[cur]) % self._dims
-            vec -= (vec > self._dims // 2) * self._dims
-        else:
-            # Mesh difference; hypercube coords are bits, difference in
-            # {-1, 0, 1} with both directions equivalent.
-            vec = self._coords[dst] - self._coords[cur]
-        rows = np.arange(self._count, self._count + m, dtype=np.int64)
-        while self._count + m > self._deg.size:  # geometric growth  # repro-lint: disable=H3
-            self._cand = np.concatenate(
-                [self._cand, np.full_like(self._cand, -1)])
-            self._deg = np.concatenate([self._deg, np.zeros_like(self._deg)])
-        slot = np.zeros(m, dtype=np.int64)
-        for axis in range(vec.shape[1]):  # per-axis, a handful  # repro-lint: disable=H3
-            comp = vec[:, axis]
-            nxt = self._step[cur, axis, (comp > 0).astype(np.int64)]
+        m = cur.size
+        width = self.width
+        cand = np.full(m * width, -1, dtype=np.int64)
+        # Flat write cursor per row: the row's next free candidate slot.
+        cursor = np.arange(0, m * width, width, dtype=np.int64)
+        first = cursor.copy()
+        base = cur * (2 * len(self._axes))
+        for axis, (coord, sign, offset) in enumerate(self._axes):  # per-axis, a handful  # repro-lint: disable=H3
+            comp = sign[coord[dst] - coord[cur] + offset]
+            nxt = self._step[base + (2 * axis) + (comp > 0)]
             valid = (comp != 0) & (nxt >= 0)
             if self._edge_up is not None:
                 valid &= self._edge_up[cur * self.n + np.maximum(nxt, 0)]
             idx = np.flatnonzero(valid)
-            self._cand[rows[idx], slot[idx]] = nxt[idx]
-            slot[idx] += 1
-        self._deg[rows] = slot
-        self._row_of[keys] = rows
-        self._count += m
+            cand[cursor[idx]] = nxt[idx]
+            cursor[idx] += 1
+        return cand.reshape(m, width), cursor - first
 
-    def _insert(self, key: int) -> int:
+    def _insert(self, key: int) -> None:
         current, destination = divmod(key, self.n)
         state = self._state
         state.destination = destination
@@ -465,21 +473,18 @@ class _RoutePlanner:
         self._cand[row, :len(candidates)] = candidates
         self._row_of[key] = row
         self._count = row + 1
-        return row
 
     def lookup(self, pos: np.ndarray,
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (candidate matrix, degree) for the cohort's positions."""
+        """Per-row (candidate matrix, degree) for the given positions."""
+        if self._closed_form:
+            return self._minimal(pos, dst)
         keys = pos * self.n + dst
         picked = self._row_of[keys]
         missing = picked < 0
         if missing.any():
-            unseen = np.unique(keys[missing])
-            if self._minimal_bulk:
-                self._insert_bulk(unseen)
-            else:
-                for key in unseen.tolist():  # per-unseen-pair probe  # repro-lint: disable=H3
-                    self._insert(int(key))
+            for key in np.unique(keys[missing]).tolist():  # per-unseen-pair probe  # repro-lint: disable=H3
+                self._insert(int(key))
             picked = self._row_of[keys]
         return self._cand[picked], self._deg[picked]
 
@@ -487,9 +492,32 @@ class _RoutePlanner:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+#: per-row columns of the rank-indexed store: slot ``rank`` of each column
+#: belongs to the captured row of that activation rank.
+_ROW_COLUMNS: Tuple[Tuple[str, type], ...] = (
+    ("pos", np.int64), ("dst", np.int64), ("src_ip", np.int64),
+    ("dst_ip", np.int64), ("words", np.int64), ("ttls", np.int64),
+    ("hops", np.int64), ("time", np.float64), ("t0", np.float64),
+    ("hold", np.float64), ("ids", np.int64), ("nxt", np.int64))
+
+#: queue keys pack ``chan << 32 | rank``: ranks stay below 2**32.
+_RANK_BITS = 32
+_RANK_MASK = (1 << _RANK_BITS) - 1
+
+
 class CohortEngine:
     """Advance a :class:`~repro.network.colqueue.BatchedFabric`'s captured
-    injections to completion, one cohort-hop round per iteration."""
+    injections to completion, one cohort-hop round per iteration.
+
+    Row state lives in a rank-indexed store: the row of activation rank r
+    (its index in the time-sorted capture) owns slot r of every column,
+    allocated once for the whole capture, so no round compacts columns.
+    Live rows are either *fresh* (activated this round or advanced last
+    round; ascending rank order) or *waiting* in the channel queue, a
+    sorted array of ``chan << 32 | rank`` keys with their accumulated
+    times. A round touches fresh rows for retirement, routing and
+    selection; waiting rows only pay the queue's contiguous array steps.
+    """
 
     def __init__(self, fabric: "BatchedFabric"):
         self.fabric = fabric
@@ -528,30 +556,17 @@ class CohortEngine:
         # One cohort hop: switch pipeline + serialization hold + wire time.
         self.round_delta = cfg.routing_delay + header_hold + cfg.link_latency
 
-        # Live cohort columns (struct-of-arrays, MarkBatch layout plus
-        # routing position and injection bookkeeping). ``nxt`` is the chosen
-        # next hop (-1 = needs routing): a row blocked by admission keeps its
-        # channel across rounds — like a queued packet in the exact engine —
-        # so only freshly advanced rows pay routing and selection.
-        self.pos = np.empty(0, dtype=np.int64)
-        self.dst = np.empty(0, dtype=np.int64)
-        self.src_ip = np.empty(0, dtype=np.int64)
-        self.dst_ip = np.empty(0, dtype=np.int64)
-        self.words = np.empty(0, dtype=np.int64)
-        self.ttls = np.empty(0, dtype=np.int64)
-        self.hops = np.empty(0, dtype=np.int64)
-        self.time = np.empty(0, dtype=np.float64)
-        self.t0 = np.empty(0, dtype=np.float64)
-        self.hold = np.empty(0, dtype=np.float64)
-        self.ids = np.empty(0, dtype=np.int64)
-        self.nxt = np.empty(0, dtype=np.int64)
-        self.chan = np.empty(0, dtype=np.int64)
-        # Global activation rank: the row's index in the time-sorted capture.
-        # In this engine array order *is* rank order (activation appends in
-        # rank order and every filter preserves order), so admission's
-        # array-order tie-break equals lowest-rank-wins; the sharded engine
-        # leans on the explicit column once migration breaks that identity.
-        self.rank = np.empty(0, dtype=np.int64)
+        # Rank-indexed row store (sized by _reserve) and the live-row sets.
+        # ``nxt`` is a waiting row's chosen next hop: a row blocked by
+        # admission keeps its channel across rounds — like a queued packet
+        # in the exact engine — so only fresh rows pay routing and
+        # selection.
+        for name, dtype in _ROW_COLUMNS:  # per-column, once at build
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self._fresh = np.empty(0, dtype=np.int64)
+        self._q_key = np.empty(0, dtype=np.int64)
+        self._q_time = np.empty(0, dtype=np.float64)
+        self.moved = 0
 
         # Physical channel ids: chan = node * width + port, where port is
         # the neighbor's index in topology.neighbors(node). Candidate-table
@@ -561,8 +576,14 @@ class CohortEngine:
         for node in topology.nodes():  # per-(node, port), once at build
             for port, neighbor in enumerate(topology.neighbors(node)):
                 self._port[node * self.n + neighbor] = port
+        # Stable argsort on int16 keys selects numpy's radix sort (~7x the
+        # int64 merge path); channel ids fit whenever n*width < 2^15, which
+        # covers the 64x64 torus exactly.
+        self._chan_sort_dtype = (np.int16 if self.n * self.width < (1 << 15)
+                                 else np.int64)
 
-        # Per-round congestion signal: rows deferred last round, per channel.
+        # Per-round congestion signal: rows waiting after admission, per
+        # channel (least-congested selection only).
         self._backlog = np.zeros(self.n * self.width, dtype=np.float64)
 
         # Segment accumulators, flushed at each advance() boundary (once per
@@ -586,6 +607,21 @@ class CohortEngine:
         self.frontier = float(self.sim.now)
 
     # ------------------------------------------------------------------
+    @property
+    def live(self) -> int:
+        """Rows in flight: fresh plus waiting in the channel queue."""
+        return int(self._fresh.size + self._q_key.size)
+
+    def _reserve(self, size: int) -> None:
+        """Grow the row store to ``size`` slots, keeping filled slots."""
+        have = self.pos.size
+        if size <= have:
+            return
+        for name, dtype in _ROW_COLUMNS:  # per-column, once per capture  # repro-lint: disable=H3
+            grown = np.empty(size, dtype=dtype)
+            grown[:have] = getattr(self, name)
+            setattr(self, name, grown)
+
     def run(self) -> None:
         """Drain all captured injections; raises on stalls via the watchdog."""
         self.advance(None)
@@ -622,19 +658,18 @@ class CohortEngine:
         if not self._started and total:
             self.frontier = float(pending_times[0])
             self._started = True
-        while self._next < total or self.pos.size:  # per-round loop  # repro-lint: disable=H3
+        while self._next < total or self.live:  # per-round loop  # repro-lint: disable=H3
             if until is not None:
                 eff = self.frontier
-                if self.pos.size == 0 and self._next < total:
+                if not self.live and self._next < total:
                     eff = max(eff, float(pending_times[self._next]))
                 if eff > until:
                     break
             if watchdog is not None:
                 watchdog.check_stall(sim)
             self._progressed = False
-            rows = int(self.pos.size)
             if profiler is not None:
-                profiler.record_batch_advance(rows, self._round)
+                profiler.record_batch_advance(self.live, self._round)
             else:
                 self._round()
             sim.events_executed += 1
@@ -642,7 +677,7 @@ class CohortEngine:
             if not self._progressed:
                 raise SimulationError(
                     f"batched engine stalled at round {self.rounds} with "
-                    f"{self.pos.size} live rows (internal invariant broken)"
+                    f"{self.live} live rows (internal invariant broken)"
                 )
         self._flush(until)
 
@@ -652,6 +687,8 @@ class CohortEngine:
         Injections captured between advance() segments are folded in as long
         as they do not rewrite the already-consumed prefix (traffic scheduled
         at or before times the engine has advanced past has no sound replay).
+        Folded-in rows all rank after the consumed prefix, so live rows keep
+        their store slots.
         """
         log = self.fabric.log
         if self._pending is not None \
@@ -672,94 +709,85 @@ class CohortEngine:
         self._pending = pending
         self._pending_ranks = np.arange(pending["times"].size,
                                         dtype=np.int64)
+        self._reserve(pending["times"].size)
 
     # ------------------------------------------------------------------
-    def _round(self) -> None:
+    def _round(self) -> int:
+        """One round at the current frontier; returns the rows it moved."""
         pending_times = self._pending["times"]
-        if self.pos.size == 0 and self._next < pending_times.size:
+        if not self.live and self._next < pending_times.size:
             # Idle gap: jump the frontier straight to the next injection.
             self.frontier = max(self.frontier,
                                 float(pending_times[self._next]))
         self._step()
         self.frontier += self.round_delta
+        return self.moved
 
     def _step(self) -> None:
         """One cohort round at the current frontier: activate, retire,
-        route/admit/advance. Shared verbatim with the sharded workers, which
-        control the frontier externally."""
+        route, admit, advance. Shared verbatim with the sharded workers,
+        which control the frontier externally.
+
+        Waiting rows cannot newly retire — their position, TTL and hop
+        count have not changed since they were checked as fresh rows — so
+        only the fresh rows are retired and routed.
+        """
+        self.moved = 0
         end = int(np.searchsorted(self._pending["times"], self.frontier,
                                   side="right"))
         if end > self._next:
             self._activate(self._next, end)
             self._next = end
             self._progressed = True
-        if self.pos.size:
+        if self._fresh.size:
             self._retire()
-        if self.pos.size:
-            self._route_and_advance()
+        chan = self._route() if self._fresh.size \
+            else np.empty(0, dtype=np.int64)
+        if self._fresh.size or self._q_key.size:
+            self._admit_and_advance(chan)
 
     def _activate(self, lo: int, hi: int) -> None:
         pending = self._pending
         m = hi - lo
-        times = pending["times"][lo:hi].copy()
+        ranks = self._pending_ranks[lo:hi]
+        times = pending["times"][lo:hi]
         sizes = pending["sizes"][lo:hi]
         if self._vct:
             # VCT charges the payload serialization once at injection.
             times = times + np.maximum(
                 sizes - IPHeader.HEADER_BYTES, 0) / self._bandwidth
-            hold = np.full(m, IPHeader.HEADER_BYTES / self._bandwidth)
+            self.hold[ranks] = IPHeader.HEADER_BYTES / self._bandwidth
         else:
-            hold = sizes / self._bandwidth
-        self.pos = np.concatenate([self.pos, pending["nodes"][lo:hi]])
-        self.dst = np.concatenate([self.dst, pending["dests"][lo:hi]])
-        self.src_ip = np.concatenate([self.src_ip,
-                                      pending["sources"][lo:hi]])
-        self.dst_ip = np.concatenate([self.dst_ip,
-                                      pending["dst_ips"][lo:hi]])
-        self.words = np.concatenate([self.words,
-                                     self.marker.inject(m, self.rng)])
-        self.ttls = np.concatenate(
-            [self.ttls, np.full(m, self.default_ttl, dtype=np.int64)])
-        self.hops = np.concatenate([self.hops, np.zeros(m, dtype=np.int64)])
-        self.time = np.concatenate([self.time, times])
-        self.t0 = np.concatenate([self.t0, times])
-        self.hold = np.concatenate([self.hold, hold])
-        self.ids = np.concatenate([self.ids, pending["ids"][lo:hi]])
-        self.nxt = np.concatenate([self.nxt, np.full(m, -1, dtype=np.int64)])
-        self.chan = np.concatenate([self.chan,
-                                    np.full(m, -1, dtype=np.int64)])
-        self.rank = np.concatenate([self.rank, self._pending_ranks[lo:hi]])
+            self.hold[ranks] = sizes / self._bandwidth
+        self.pos[ranks] = pending["nodes"][lo:hi]
+        self.dst[ranks] = pending["dests"][lo:hi]
+        self.src_ip[ranks] = pending["sources"][lo:hi]
+        self.dst_ip[ranks] = pending["dst_ips"][lo:hi]
+        self.words[ranks] = self.marker.inject(m, self.rng)
+        self.ttls[ranks] = self.default_ttl
+        self.hops[ranks] = 0
+        self.time[ranks] = times
+        self.t0[ranks] = times
+        self.ids[ranks] = pending["ids"][lo:hi]
+        # Activation ranks exceed every live rank: fresh stays ascending.
+        self._fresh = np.concatenate([self._fresh, ranks])
         self._stats.n_injected += m
-
-    def _filter(self, keep: np.ndarray) -> None:
-        self.pos = self.pos[keep]
-        self.dst = self.dst[keep]
-        self.src_ip = self.src_ip[keep]
-        self.dst_ip = self.dst_ip[keep]
-        self.words = self.words[keep]
-        self.ttls = self.ttls[keep]
-        self.hops = self.hops[keep]
-        self.time = self.time[keep]
-        self.t0 = self.t0[keep]
-        self.hold = self.hold[keep]
-        self.ids = self.ids[keep]
-        self.nxt = self.nxt[keep]
-        self.chan = self.chan[keep]
-        self.rank = self.rank[keep]
 
     def _retire(self) -> None:
         # Delivery first, then hop-ceiling, then TTL — the exact switch's
         # dispatch order (the masks are disjoint by construction, so one
         # combined filter pass preserves the per-reason accounting).
-        done = self.pos == self.dst
+        fresh = self._fresh
+        done = self.pos[fresh] == self.dst[fresh]
         gone = done
         retired = False
         if done.any():
-            self._deliver(done)
+            self._deliver(fresh[done])
             retired = True
         ceiling = self.fabric.hop_ceiling
         if ceiling is not None:
-            over = ~gone & (self.hops >= ceiling)
+            hops = self.hops[fresh]
+            over = ~gone & (hops >= ceiling)
             if over.any():
                 k = int(np.count_nonzero(over))
                 self._drop(k, "livelock")
@@ -768,28 +796,26 @@ class CohortEngine:
                     # Bulk twin of note_livelock: count all k, fire once
                     # past tolerance.
                     watchdog.livelocked_packets += k - 1
-                    watchdog.note_livelock(self.sim,
-                                           int(self.hops[over].max()))
+                    watchdog.note_livelock(self.sim, int(hops[over].max()))
                 gone = gone | over
                 retired = True
-        dead = ~gone & (self.ttls <= 1)
+        dead = ~gone & (self.ttls[fresh] <= 1)
         if dead.any():
             self._drop(int(np.count_nonzero(dead)), "ttl_expired")
             gone = gone | dead
             retired = True
         if retired:
-            self._filter(~gone)
+            self._fresh = fresh[~gone]
             self._progressed = True
 
-    def _deliver(self, mask: np.ndarray) -> None:
-        index = np.flatnonzero(mask)
-        nodes = self.pos[index]
-        times = self.time[index]
-        k = index.size
+    def _deliver(self, ranks: np.ndarray) -> None:
+        nodes = self.pos[ranks]
+        times = self.time[ranks]
+        k = ranks.size
         self._stats.n_delivered += k
         np.add.at(self._delivered_counts, nodes, 1)
-        self._stats.latency.add_array(times - self.t0[index])
-        hops = self.hops[index]
+        self._stats.latency.add_array(times - self.t0[ranks])
+        hops = self.hops[ranks]
         top = int(hops.max()) + 1 if k else 1
         if top > self._hop_counts.size:
             grown = np.zeros(max(top, 2 * self._hop_counts.size),
@@ -802,15 +828,15 @@ class CohortEngine:
             sunk = np.isin(nodes, np.fromiter(self._sink_nodes, dtype=np.int64,
                                               count=len(self._sink_nodes)))
             if sunk.any():
-                rows = index[sunk]
+                rows = ranks[sunk]
                 # The trailing (rank, round) pair is merge metadata: the
                 # single-process flush ignores it, the sharded driver lexsorts
                 # on (time, round, rank) to reproduce this engine's
                 # accumulation order across shards.
                 self._sink_rows.append(
-                    (self.pos[rows], self.time[rows], self.src_ip[rows],
+                    (nodes[sunk], times[sunk], self.src_ip[rows],
                      self.dst_ip[rows], self.words[rows], self.ttls[rows],
-                     self.hops[rows], self.ids[rows], self.rank[rows],
+                     hops[sunk], self.ids[rows], rows,
                      np.full(rows.size, self.rounds, dtype=np.int64)))
 
     def _drop(self, count: int, reason: str) -> None:
@@ -820,83 +846,119 @@ class CohortEngine:
             stats._drop_reasons.get(reason, 0) + count
 
     # ------------------------------------------------------------------
-    def _route_and_advance(self) -> None:
-        # Route and select only the fresh rows (just activated or just
-        # advanced); rows waiting on a full channel keep last round's choice,
-        # like a queued packet holding its output in the exact engine.
-        need = np.flatnonzero(self.nxt < 0)
-        if need.size:
-            candidates, degrees = self.planner.lookup(self.pos[need],
-                                                      self.dst[need])
-            blocked = degrees == 0
-            if blocked.any():
-                self._drop(int(np.count_nonzero(blocked)), "unroutable")
-                keep = np.ones(self.pos.size, dtype=bool)
-                keep[need[blocked]] = False
-                self._filter(keep)
-                self._progressed = True
-                if not self.pos.size:
-                    return
-                need = np.flatnonzero(self.nxt < 0)
-                candidates = candidates[~blocked]
-                degrees = degrees[~blocked]
-            if need.size:
-                sub_pos = self.pos[need]
-                cols = self._choose(sub_pos, candidates, degrees)
-                nxt = candidates[np.arange(need.size), cols]
-                self.nxt[need] = nxt
-                self.chan[need] = (sub_pos * self.width
-                                   + self._port[sub_pos * self.n + nxt])
+    def _route(self) -> np.ndarray:
+        """Route and select every fresh row; returns their channels.
 
-        # Credit-based admission: buffer_capacity rows per directed channel
-        # per round — array order (oldest rows first) breaks ties, so waiting
-        # rows outrank newcomers; the rest wait a round and become the
-        # congestion signal.
-        chan = self.chan
-        order = self._admission_order(chan)
-        sorted_chan = chan[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_chan, prepend=sorted_chan[0] - 1))
-        group_sizes = np.diff(np.append(starts, sorted_chan.size))
-        ranks = np.arange(sorted_chan.size) - np.repeat(starts, group_sizes)
-        admitted = np.empty(chan.size, dtype=bool)
-        admitted[order] = ranks < self.quota
-
-        deferred = ~admitted
-        if deferred.any():
-            self._backlog = np.bincount(
-                chan[deferred],
-                minlength=self._backlog.size).astype(np.float64)
-            self.time[deferred] += self.round_delta
-        elif self._backlog.any():
-            self._backlog.fill(0.0)
-
-        if admitted.any():
-            nxt = self.nxt[admitted]
-            self.ttls[admitted] -= 1
-            self.words[admitted] = self.marker.on_hop(
-                self.words[admitted], self.pos[admitted], nxt,
-                self.ttls[admitted], self.rng)
-            self.hops[admitted] += 1
-            cfg = self.fabric.config
-            self.time[admitted] += (cfg.routing_delay + self.hold[admitted]
-                                    + cfg.link_latency)
-            self.pos[admitted] = nxt
-            self.nxt[admitted] = -1
-            self._progressed = True
-
-    def _admission_order(self, chan: np.ndarray) -> np.ndarray:
-        """Row order for credit admission: channel-major, oldest row first.
-
-        Array order here equals global activation rank (see ``rank``), so a
-        stable channel sort implements lowest-rank-wins. Stable argsort on
-        int16 keys selects numpy's radix sort (~7x the int64 merge path);
-        channel ids fit whenever n*width < 2^15, which covers the 64x64
-        torus exactly.
+        Rows with no candidate drop as unroutable. Selection draws run over
+        the fresh rows in rank order.
         """
-        sort_keys = chan.astype(np.int16) \
-            if self.n * self.width < (1 << 15) else chan
-        return np.argsort(sort_keys, kind="stable")
+        fresh = self._fresh
+        pos = self.pos[fresh]
+        candidates, degrees = self.planner.lookup(pos, self.dst[fresh])
+        blocked = degrees == 0
+        if blocked.any():
+            self._drop(int(np.count_nonzero(blocked)), "unroutable")
+            self._progressed = True
+            keep = ~blocked
+            fresh = self._fresh = fresh[keep]
+            if not fresh.size:
+                return np.empty(0, dtype=np.int64)
+            pos = pos[keep]
+            candidates = candidates[keep]
+            degrees = degrees[keep]
+        cols = self._choose(pos, candidates, degrees)
+        nxt = candidates[np.arange(fresh.size), cols]
+        self.nxt[fresh] = nxt
+        return pos * self.width + self._port[pos * self.n + nxt]
+
+    def _admit_and_advance(self, chan: np.ndarray) -> None:
+        """Credit-based admission over the (channel, rank) queue, then one
+        hop for every admitted row.
+
+        At most ``buffer_capacity`` rows enter each directed channel per
+        round, lowest rank first (so waiting rows outrank newcomers); the
+        rest wait a round and become the congestion signal.
+        """
+        fresh = self._fresh
+        if fresh.size:
+            # Fresh rows are rank-ordered, so a stable sort on the channel
+            # alone yields (channel, rank) order.
+            order = np.argsort(chan.astype(self._chan_sort_dtype),
+                               kind="stable")
+            ranks = fresh[order]
+            keys = (chan[order] << _RANK_BITS) | ranks
+            times = self.time[ranks]
+            if self._q_key.size:
+                key, time = self._merge_queue(keys, times)
+            else:
+                key, time = keys, times
+        else:
+            key, time = self._q_key, self._q_time
+        # Within a sorted channel run, the row ``quota`` places back shares
+        # the channel exactly when this row is past the channel's quota.
+        channel = key >> _RANK_BITS
+        quota = self.quota
+        admitted = np.ones(key.size, dtype=bool)
+        admitted[quota:] = channel[quota:] != channel[:-quota]
+        if admitted.all():
+            self._q_key = np.empty(0, dtype=np.int64)
+            self._q_time = np.empty(0, dtype=np.float64)
+            moved, moved_time = key, time
+        else:
+            waiting = ~admitted
+            self._q_key = key[waiting]
+            self._q_time = time[waiting]
+            self._q_time += self.round_delta
+            moved, moved_time = key[admitted], time[admitted]
+        if self.mode == "congestion":
+            if self._q_key.size:
+                self._backlog = np.bincount(
+                    self._q_key >> _RANK_BITS,
+                    minlength=self._backlog.size).astype(np.float64)
+            else:
+                self._backlog.fill(0.0)
+        self._advance(moved & _RANK_MASK, moved_time)
+
+    def _merge_queue(self, keys: np.ndarray,
+                     times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Merge sorted fresh keys (and their times) into the sorted queue."""
+        queue = self._q_key
+        total = queue.size + keys.size
+        slots = np.searchsorted(queue, keys) \
+            + np.arange(keys.size, dtype=np.int64)
+        old = np.ones(total, dtype=bool)
+        old[slots] = False
+        key = np.empty(total, dtype=np.int64)
+        key[slots] = keys
+        key[old] = queue
+        time = np.empty(total, dtype=np.float64)
+        time[slots] = times
+        time[old] = self._q_time
+        return key, time
+
+    def _advance(self, ranks: np.ndarray, times: np.ndarray) -> None:
+        """Move the admitted rows one hop; they are next round's fresh rows.
+
+        Marking draws run over the admitted rows in rank order.
+        """
+        order = np.argsort(ranks)
+        ranks = ranks[order]
+        self._fresh = ranks
+        if not ranks.size:
+            return
+        nxt = self.nxt[ranks]
+        pos = self.pos[ranks]
+        ttls = self.ttls[ranks] - 1
+        self.ttls[ranks] = ttls
+        self.words[ranks] = self.marker.on_hop(self.words[ranks], pos, nxt,
+                                               ttls, self.rng)
+        self.hops[ranks] += 1
+        cfg = self.fabric.config
+        self.time[ranks] = times[order] + (
+            cfg.routing_delay + self.hold[ranks] + cfg.link_latency)
+        self.pos[ranks] = nxt
+        self.moved = int(ranks.size)
+        self._progressed = True
 
     def _choose(self, sub_pos: np.ndarray, candidates: np.ndarray,
                 degrees: np.ndarray) -> np.ndarray:
@@ -906,7 +968,7 @@ class CohortEngine:
             return np.zeros(m, dtype=np.int64)
         if self.mode == "random":
             return (self.rng.random(m) * degrees).astype(np.int64)
-        # Least-congested: last round's deferred-row backlog per candidate
+        # Least-congested: last round's waiting-row backlog per candidate
         # channel, tie-broken by a sub-1.0 jitter draw (the vectorized twin
         # of LeastCongestedPolicy's seeded random tie-break).
         width = candidates.shape[1]

@@ -61,9 +61,11 @@ class EventProfiler:
         # moves a whole cohort of rows, so the per-event buckets alone would
         # under-report by orders of magnitude. The histogram buckets rounds
         # by rows-per-advance power of two (key b counts rounds with
-        # 2^(b-1) < rows <= 2^b).
+        # 2^(b-1) < rows <= 2^b). ``rows_advanced`` counts live rows
+        # examined per round, ``rows_moved`` the rows that advanced a hop.
         self.batch_advances = 0
         self.rows_advanced = 0
+        self.rows_moved = 0
         self._advance_seconds = 0.0
         self._advance_hist: Dict[int, int] = {}
         # Sharded-engine window counters: one conservative time window moves
@@ -119,15 +121,17 @@ class EventProfiler:
                              fn: Callable[..., Any], *args: Any) -> None:
         """Execute one cohort advance ``fn(*args)`` and record its cost.
 
-        The batched engine calls this once per round with the cohort size;
+        The batched engine calls this once per round with the live-row
+        count; ``fn`` returns the number of rows it moved one hop.
         ``advance_stats`` then reports rows/event instead of the misleading
         one-packet-per-event accounting the per-event buckets would give.
         """
         start = perf_counter()
-        fn(*args)
+        moved = fn(*args)
         elapsed = perf_counter() - start
         self.batch_advances += 1
         self.rows_advanced += rows
+        self.rows_moved += int(moved or 0)
         self._advance_seconds += elapsed
         bucket = (max(int(rows), 1) - 1).bit_length()  # ceil(log2(rows))
         self._advance_hist[bucket] = self._advance_hist.get(bucket, 0) + 1
@@ -158,12 +162,14 @@ class EventProfiler:
         }
 
     def advance_stats(self) -> Dict[str, object]:
-        """Cohort-advance summary: rounds, rows, seconds, rows/event histogram."""
+        """Cohort-advance summary: rounds, rows examined and moved, seconds,
+        rows/event histogram."""
         rounds = self.batch_advances
         rows = self.rows_advanced
         return {
             "advances": rounds,
             "rows": rows,
+            "rows_moved": self.rows_moved,
             "total_time": self._advance_seconds,
             "rows_per_advance": (rows / rounds) if rounds else 0.0,
             "rows_histogram": {1 << b: count for b, count
@@ -247,7 +253,7 @@ class EventProfiler:
             for power, count in sorted(self._advance_hist.items()):
                 advance_table.add_row([1 << power, count])
             body = (f"{body}\ncohort advances: {rounds} rounds, "
-                    f"{rows} rows "
+                    f"{rows} rows, {self.rows_moved} moved "
                     f"({rows / rounds:.1f} rows/event), "
                     f"{self._advance_seconds:.4f}s\n{advance_table.render()}")
         return body
@@ -259,6 +265,7 @@ class EventProfiler:
         self.events_recorded = 0
         self.batch_advances = 0
         self.rows_advanced = 0
+        self.rows_moved = 0
         self._advance_seconds = 0.0
         self._advance_hist.clear()
         self.shard_windows = 0

@@ -23,13 +23,13 @@ in worker processes under the ``fork`` start method, or serially in-process
   detectors, victim analysis, and the property-equivalence suite see
   bit-identical streams.
 
-Equivalence argument (DESIGN.md §14): in the single-process engine, array
-order equals global activation rank at all times, so credit admission's
-"lowest array index wins" tie-break is "lowest rank wins". Each directed
-channel is owned by its source node's shard, so all contenders for a channel
-live in one shard; per-shard admission ordered by ``lexsort((rank, chan))``
-therefore reproduces global admission exactly, and the deferred-row backlog
-(the congestion signal) decomposes per shard without approximation. The
+Equivalence argument (DESIGN.md §14): both engines keep every row in a
+rank-indexed store and admit from a (channel, rank) queue, lowest global
+activation rank first. Each directed channel is owned by its source node's
+shard, so all contenders for a channel live in one shard; per-shard
+admission therefore reproduces global admission exactly, and the waiting-row
+backlog (the congestion signal) decomposes per shard without approximation.
+Selection and marking draws run over each shard's rows in rank order. The
 per-shard RNG streams (``"sharded-cohort:<shard>"``) differ from the global
 engine's single stream, so — exactly as for batched-vs-exact (DESIGN.md §12)
 — bit-equality holds wherever drawn values cannot influence outcomes
@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batched import CohortEngine
+from repro.engine.batched import _ROW_COLUMNS, CohortEngine
 from repro.engine.stats import WelfordAccumulator
 from repro.engine.watchdog import WatchdogReport
 from repro.errors import (ConfigurationError, SimulationError,
@@ -63,10 +63,10 @@ __all__ = ["ShardedEngine"]
 #: ParallelRunner's pool backstop applies over its in-worker watchdogs.
 _TIMEOUT_GRACE = 10.0
 
-#: cohort columns that migrate across shard boundaries (struct-of-arrays).
-_MIGRATE_COLUMNS = ("pos", "dst", "src_ip", "dst_ip", "words", "ttls",
-                    "hops", "time", "t0", "hold", "ids", "nxt", "chan",
-                    "rank")
+#: row-store columns that migrate across shard boundaries. Migrating rows
+#: were just advanced, so they have no chosen next hop yet (``nxt``); each
+#: boundary block also carries the rows' activation ``rank``.
+_MIGRATE_COLUMNS = tuple(name for name, _ in _ROW_COLUMNS if name != "nxt")
 
 
 class _ShardStats:
@@ -91,9 +91,9 @@ class _ShardCohortEngine(CohortEngine):
     """One shard's cohort engine, advanced one window at a time by a driver.
 
     Reuses the batched engine's activate/retire/route/admit/advance round
-    verbatim (``_step``); what changes is the frontier (driver-controlled),
-    the admission tie-break (explicit global rank — migration breaks the
-    array-order identity the base class relies on), and the statistics
+    verbatim (``_step``) over the same rank-indexed store, sized for the
+    whole global capture so a migrating row lands in its own rank slot;
+    what changes is the frontier (driver-controlled) and the statistics
     target (a local accumulator harvested once at the end).
     """
 
@@ -114,15 +114,10 @@ class _ShardCohortEngine(CohortEngine):
         self._pending_ranks = ranks
         self._next = 0
         self._started = True
+        self._reserve(len(self.fabric.log))
         watchdog = self.sim.watchdog
         if watchdog is not None:
             watchdog.start()
-
-    def _admission_order(self, chan: np.ndarray) -> np.ndarray:
-        # Migrated rows append out of rank order, so the base class's
-        # array-order tie-break no longer equals lowest-rank-wins; sort on
-        # the explicit rank column to reproduce global admission exactly.
-        return np.lexsort((self.rank, chan))
 
     def advance_window(self, frontier: float,
                        inbox: Optional[Dict[str, np.ndarray]]) -> dict:
@@ -143,34 +138,43 @@ class _ShardCohortEngine(CohortEngine):
             next_time = float(self._pending["times"][self._next])
         return {
             "outboxes": outboxes,
-            "live": int(self.pos.size),
+            "live": self.live,
+            "moved": self.moved,
             "progressed": bool(self._progressed),
             "next_time": next_time,
         }
 
     def _absorb(self, inbox: Dict[str, np.ndarray]) -> None:
+        """Copy boundary rows into their rank slots; they join the fresh
+        set (migrating rows were just advanced)."""
+        ranks = inbox["rank"]
         for name in _MIGRATE_COLUMNS:  # per-column, once per window  # repro-lint: disable=H3
-            setattr(self, name,
-                    np.concatenate([getattr(self, name), inbox[name]]))
+            getattr(self, name)[ranks] = inbox[name]
+        self._fresh = np.sort(np.concatenate([self._fresh, ranks]))
 
     def _extract_outboxes(self) -> Dict[int, Dict[str, np.ndarray]]:
-        """Pull rows whose position now lies in another shard, per peer."""
-        if not self.pos.size:
+        """Pull rows whose position now lies in another shard, per peer.
+
+        Only rows advanced this round (next round's fresh rows) can have
+        left the shard; waiting rows have not moved.
+        """
+        fresh = self._fresh
+        if not fresh.size:
             return {}
-        owner = self._shard_of[self.pos]
+        owner = self._shard_of[self.pos[fresh]]
         foreign = owner != self.shard
         if not foreign.any():
             return {}
-        index = np.flatnonzero(foreign)
-        dest = owner[index]
+        leaving = fresh[foreign]
+        dest = owner[foreign]
         outboxes: Dict[int, Dict[str, np.ndarray]] = {}
         for peer in np.unique(dest).tolist():  # per-peer-shard, once per window  # repro-lint: disable=H3
-            rows = index[dest == peer]
-            outboxes[int(peer)] = {
-                name: getattr(self, name)[rows] for name in _MIGRATE_COLUMNS}
-        keep = np.ones(self.pos.size, dtype=bool)
-        keep[index] = False
-        self._filter(keep)
+            ranks = leaving[dest == peer]
+            columns = {name: getattr(self, name)[ranks]
+                       for name in _MIGRATE_COLUMNS}
+            columns["rank"] = ranks
+            outboxes[int(peer)] = columns
+        self._fresh = fresh[~foreign]
         return outboxes
 
     def harvest(self) -> dict:
@@ -485,8 +489,9 @@ class ShardedEngine:
             raise
         return workers
 
-    def _exchange(self, workers, frontier: float, inboxes) -> None:
-        """Dispatch one window to every worker, then collect in shard order.
+    def _exchange(self, workers, frontier: float, inboxes) -> int:
+        """Dispatch one window to every worker, then collect in shard order;
+        returns the rows the window moved.
 
         Sending everything before collecting anything is where the
         multi-process parallelism happens: all K workers advance their
@@ -495,6 +500,7 @@ class ShardedEngine:
         for worker in workers:  # per-shard, once per window  # repro-lint: disable=H3
             worker.send_window(frontier, inboxes[worker.shard])
         self._reports = [worker.collect() for worker in workers]
+        return sum(report["moved"] for report in self._reports)
 
     @staticmethod
     def _route_outboxes(reports) -> Tuple[dict, int]:
@@ -518,7 +524,7 @@ class ShardedEngine:
             else:
                 inboxes[dest] = {
                     name: np.concatenate([part[name] for part in parts])
-                    for name in _MIGRATE_COLUMNS}
+                    for name in parts[0]}
         for dest in range(len(reports)):  # per-shard, once per window  # repro-lint: disable=H3
             inboxes.setdefault(dest, None)
         return inboxes, sent

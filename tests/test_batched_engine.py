@@ -241,6 +241,74 @@ class TestProfiler:
         assert sum(stats["rows_histogram"].values()) == profiler.batch_advances
         assert "batch-advance@cohort" in profiler.as_dict()
 
+    def test_rows_moved_counts_every_hop(self):
+        """rows_moved sums the rows admitted (advanced one hop) per round;
+        with no drops every moved row is delivered, so it equals the
+        delivered hop total, while rows examined also count waiting rows."""
+        from repro.engine.profile import EventProfiler
+
+        profiler = EventProfiler()
+        cluster = Cluster(Torus((8, 8)), MinimalAdaptiveRouter(),
+                          marking=DdpmScheme(), seed=3, engine="batched",
+                          profile=profiler)
+        cluster.launch_ddos(num_attackers=6, attack_rate_per_node=200.0,
+                            duration=0.5, background_rate=4.0)
+        cluster.run()
+        fabric = cluster.fabric
+        assert fabric.n_dropped == 0
+        hops = sum(value * count for value, count
+                   in fabric.hop_histogram.counts().items())
+        stats = profiler.advance_stats()
+        assert stats["rows_moved"] == hops > 0
+        assert stats["rows"] > stats["rows_moved"], "no row ever waited"
+
+
+# ----------------------------------------------------------------------
+# Waiting rows keep their channel
+# ----------------------------------------------------------------------
+class TestWaitingRows:
+    def test_waiting_rows_are_not_rerouted(self):
+        """A backlog parked behind one quota-1 channel is routed once: each
+        round routes at most the rows admitted last round plus the rows
+        activated this round, never the waiting rows again."""
+        from repro.network.ip import IPHeader
+
+        fabric = BatchedFabric(Mesh((4, 4)), DimensionOrderRouter(),
+                               marking=DdpmScheme(),
+                               config=FabricConfig(buffer_capacity=1))
+        fabric.selection = FirstCandidatePolicy()
+        for i in range(40):
+            packet = Packet(IPHeader(1, 4, ttl=64, total_length=84), 0, 3)
+            fabric.inject(packet, at_node=0, delay=0.001 * (i // 10))
+        engine = fabric._cohort_engine()
+        routed: list = []
+        lookup = engine.planner.lookup
+
+        def spy_lookup(pos, dst):
+            routed[-1] += pos.size
+            return lookup(pos, dst)
+
+        rounds: list = []  # (activated, routed, moved, live) per round
+        step = engine._round
+
+        def spy_round():
+            routed.append(0)
+            before, live = engine._next, engine.live
+            moved = step()
+            rounds.append((engine._next - before, routed[-1], moved, live))
+            return moved
+
+        engine.planner.lookup = spy_lookup
+        engine._round = spy_round
+        fabric.run()
+
+        assert fabric.counters["delivered"] == 40
+        assert max(live for *_, live in rounds) >= 30, "no backlog formed"
+        moved_before = 0
+        for activated, n_routed, moved, _ in rounds:
+            assert n_routed <= moved_before + activated
+            moved_before = moved
+
 
 # ----------------------------------------------------------------------
 # Bulk injection plumbing
