@@ -31,6 +31,7 @@ from typing import Any, Dict
 import numpy as np
 import pytest
 
+from repro.attack.scenario import AttackCampaign
 from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
@@ -68,6 +69,25 @@ CASES: Dict[str, Dict[str, Any]] = {
                                   routing="minimal-adaptive", marking="ddpm",
                                   selection="first", engine="sharded",
                                   shards=2),
+    # The other static kinds, armed through config.attacks.
+    "torus16_syn_random_spoof": dict(
+        _TORUS16, marking="ddpm", selection="random", attacks=[
+            dict(kind="syn-flood", num_attackers=8, rate_per_attacker=300.0,
+                 duration=0.5, background_rate=6.0, spoofing="random")]),
+    "torus16_pulsing": dict(
+        _TORUS16, marking="ddpm", selection="random", attacks=[
+            dict(kind="pulsing", num_attackers=8, rate_per_attacker=600.0,
+                 period=0.2, duty_cycle=0.5, duration=0.5)]),
+    "torus16_poisson_hotspot": dict(
+        _TORUS16, marking="ddpm", selection="random", attacks=[
+            dict(kind="benign-poisson", pattern="hotspot", rate=12.0,
+                 duration=0.5, hotspot_fraction=0.3)]),
+    "torus16_mix": dict(
+        _TORUS16, marking="ddpm", selection="random", attacks=[
+            dict(kind="mix", weights=[1.0, 0.5], components=[
+                dict(kind="flood", num_attackers=8, rate_per_attacker=300.0,
+                     duration=0.5),
+                dict(kind="benign-poisson", rate=12.0, duration=0.5)])]),
 }
 
 
@@ -79,15 +99,23 @@ def _digest(arrays) -> str:
 
 
 def run_case(kind, dims, routing, marking, selection, *, seed=5,
-             engine="batched", shards=None, ttl=None, segments=()) -> dict:
-    """One hot flood on the columnar engine; returns the pinned digests."""
+             engine="batched", shards=None, ttl=None, segments=(),
+             attacks=None) -> dict:
+    """One hot flood on the columnar engine; returns the pinned digests.
+
+    ``attacks`` (a list of spec dicts) arms that campaign through
+    ``config.attacks`` instead of the flat flood fields.
+    """
+    campaign = (None if attacks is None
+                else AttackCampaign.from_dict({"specs": attacks}))
     config = ExperimentConfig(
         topology=TopologySpec(kind, tuple(dims)),
         routing=RoutingSpec(routing),
         marking=MarkingSpec(marking, probability=0.2),
         selection=SelectionSpec(selection),
         seed=seed, num_attackers=8, attack_rate_per_node=300.0,
-        background_rate=6.0, duration=0.5, engine=engine, shards=shards)
+        background_rate=6.0, duration=0.5, engine=engine, shards=shards,
+        attacks=campaign)
     cluster = Cluster.from_config(config)
     fabric = cluster.fabric
     if shards is not None:
@@ -109,10 +137,14 @@ def run_case(kind, dims, routing, marking, selection, *, seed=5,
 
     for node in sink_nodes:
         fabric.attach_delivery_sink(node, sink_for(node))
-    cluster.launch_ddos(victim=victim, num_attackers=config.num_attackers,
-                        attack_rate_per_node=config.attack_rate_per_node,
-                        duration=config.duration,
-                        background_rate=config.background_rate)
+    if config.attacks is not None:
+        cluster.launch_attacks(config.attacks, victim=victim)
+    else:
+        cluster.launch_ddos(victim=victim,
+                            num_attackers=config.num_attackers,
+                            attack_rate_per_node=config.attack_rate_per_node,
+                            duration=config.duration,
+                            background_rate=config.background_rate)
     for horizon in segments:
         cluster.run(until=horizon)
     cluster.run()
