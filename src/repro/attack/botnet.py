@@ -9,15 +9,15 @@ converging on one node, with per-slave start jitter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.attack.flows import FlowSpec, schedule_flow
+from repro.attack.flows import FlowSpec, Rows, schedule_flow
 from repro.attack.spoofing import InClusterSpoofing, SpoofingStrategy
 from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind
 
 __all__ = ["Botnet"]
 
@@ -58,8 +58,12 @@ class Botnet:
                duration: float, rng: np.random.Generator, start: float = 0.0,
                start_jitter: float = 0.0, kind: PacketKind = PacketKind.DATA,
                payload_bytes: int = 64,
-               flow_id_base: int = 1000) -> Dict[int, List[Packet]]:
-        """Command every slave to flood ``victim``; returns packets per slave.
+               flow_id_base: int = 1000) -> Dict[int, Rows]:
+        """Command every slave to flood ``victim``; returns rows per slave.
+
+        Each slave's flow reaches the fabric as one ``inject_rows`` call, so
+        the per-slave value is that flow's packets (exact fabric) or ids
+        (columnar fabrics).
 
         ``start_jitter`` staggers slave start times uniformly in
         [0, start_jitter) — real toolkits do not start all daemons on the
@@ -67,7 +71,7 @@ class Botnet:
         """
         if victim in self.slaves:
             raise ConfigurationError("the victim cannot be one of the attacking slaves")
-        packets: Dict[int, List[Packet]] = {}
+        packets: Dict[int, Rows] = {}
         for i, slave in enumerate(self.slaves):
             jitter = float(rng.uniform(0.0, start_jitter)) if start_jitter > 0 else 0.0
             spec = FlowSpec(

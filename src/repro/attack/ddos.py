@@ -8,6 +8,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.attack.botnet import Botnet
+from repro.attack.flows import Rows
 from repro.attack.spoofing import SpoofingStrategy
 from repro.attack.traffic import TrafficPattern, UniformRandomPattern, schedule_background
 from repro.network.fabric import Fabric
@@ -25,12 +26,18 @@ class AttackTrafficResult:
     nodes whose replies actually hit the victim (reply-path marks converge
     on these, never on ``attackers``). ``extra`` carries scenario-specific
     ground truth (live worm outbreaks, per-component mix counts).
+
+    ``attack_packets``/``background_packets`` hold the scheduled
+    ``Packet`` objects on the exact fabric. The columnar fabrics build no
+    packets, so there they hold the int64 id arrays ``inject_rows``
+    returned. Either way ``len()`` is the packet count and
+    :attr:`attack_packet_ids` the ground-truth id set.
     """
 
     victim: int
     attackers: tuple
-    attack_packets: List[Packet] = field(default_factory=list)
-    background_packets: List[Packet] = field(default_factory=list)
+    attack_packets: Rows = field(default_factory=list)
+    background_packets: Rows = field(default_factory=list)
     _frozen_ids: Optional[Set[int]] = field(default=None, repr=False)
     reflectors: tuple = ()
     extra: Dict[str, Any] = field(default_factory=dict)
@@ -40,15 +47,27 @@ class AttackTrafficResult:
     def freeze_ids(self) -> Set[int]:
         """Snapshot the attack packet ids.
 
-        Called once at schedule time: ids are assigned at ``make_packet``
-        and a pooled fabric may recycle Packet objects (with fresh ids)
-        after delivery, so the ground truth must be captured before the
-        run — and a snapshot turns the previous per-call set rebuild
+        Called once at schedule time: ids are assigned when rows are
+        scheduled (``Fabric.inject_rows``), and a pooled fabric may recycle
+        Packet objects (with fresh ids) after delivery, so the ground truth
+        must be captured before the run — and a snapshot turns the previous per-call set rebuild
         (quadratic when used as a per-packet membership test) into one
         O(1)-lookup set.
         """
-        self._frozen_ids = {p.packet_id for p in self.attack_packets}
+        rows = self.attack_packets
+        if isinstance(rows, np.ndarray):
+            self._frozen_ids = set(rows.tolist())
+        else:
+            self._frozen_ids = {p.packet_id for p in rows}
         return self._frozen_ids
+
+    def add_attack(self, *parts: Rows) -> None:
+        """Append generator rows (packets or ids) to ``attack_packets``."""
+        self.attack_packets = _joined(self.attack_packets, parts)
+
+    def add_background(self, *parts: Rows) -> None:
+        """Append generator rows to ``background_packets``."""
+        self.background_packets = _joined(self.background_packets, parts)
 
     @property
     def attack_packet_ids(self) -> Set[int]:
@@ -98,13 +117,25 @@ class AttackTrafficResult:
         for node in other.reflectors:
             if node not in self.reflectors:
                 self.reflectors = self.reflectors + (node,)
-        self.attack_packets.extend(other.attack_packets)
-        self.background_packets.extend(other.background_packets)
+        self.add_attack(other.attack_packets)
+        self.add_background(other.background_packets)
         if self._frozen_ids is None:
             self.freeze_ids()
         else:
             self._frozen_ids.update(other.attack_packet_ids)
         other._parents.append(self)
+
+
+def _joined(held: Rows, parts: Sequence[Rows]) -> Rows:
+    """``held`` followed by ``parts``: packet lists extend in place, id
+    arrays (columnar fabrics) concatenate into a new array."""
+    if isinstance(held, list) and all(isinstance(part, list)
+                                      for part in parts):
+        for part in parts:
+            held.extend(part)
+        return held
+    return np.concatenate([np.asarray(rows, dtype=np.int64)
+                           for rows in (held, *parts)])
 
 
 def schedule_attack_flood(fabric: Fabric, *, victim: int,
@@ -130,8 +161,7 @@ def schedule_attack_flood(fabric: Fabric, *, victim: int,
         kind=attack_kind,
     )
     result = AttackTrafficResult(victim=victim, attackers=botnet.slaves)
-    for packets in per_slave.values():
-        result.attack_packets.extend(packets)
+    result.add_attack(*per_slave.values())
     result.freeze_ids()
 
     if background_rate > 0.0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
@@ -12,7 +12,12 @@ from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet, PacketKind
 
-__all__ = ["FlowSpec", "schedule_flow"]
+__all__ = ["FlowSpec", "Rows", "schedule_flow"]
+
+#: What a generator returns for one ``Fabric.inject_rows`` call: the
+#: scheduled packets on the exact fabric, their int64 ids on the columnar
+#: (batched and sharded) fabrics.
+Rows = Union[List[Packet], np.ndarray]
 
 
 @dataclass
@@ -55,21 +60,27 @@ class FlowSpec:
 
 
 def schedule_flow(fabric: Fabric, spec: FlowSpec,
-                  rng: np.random.Generator) -> List[Packet]:
-    """Schedule a flow's packets onto the fabric; returns them for scoring."""
-    packets: List[Packet] = []
-    t = spec.start + float(rng.exponential(1.0 / spec.rate))
-    seq = 0
-    while t < spec.start + spec.duration:
-        spoofed = spec.spoofing.source_ip(spec.source, fabric.addresses, rng)
-        packet = fabric.make_packet(
-            spec.source, spec.destination,
-            spoofed_src_ip=spoofed, kind=spec.kind,
-            flow_id=spec.flow_id, seq=seq,
-            payload_bytes=spec.payload_bytes,
-        )
-        fabric.inject(packet, delay=t)
-        packets.append(packet)
-        seq += 1
-        t += float(rng.exponential(1.0 / spec.rate))
-    return packets
+                  rng: np.random.Generator) -> Rows:
+    """Schedule a flow's packets onto the fabric; returns them for scoring.
+
+    Arrival times and spoofed addresses are drawn one row at a time, in the
+    same order on every engine, then handed to ``fabric.inject_rows`` in
+    one call: the exact fabric returns the scheduled packets, the columnar
+    fabrics their ids.
+    """
+    delays: List[float] = []
+    src_ips: List[int] = []
+    end = spec.start + spec.duration
+    gap = 1.0 / spec.rate
+    source_ip = spec.spoofing.source_ip
+    addresses = fabric.addresses
+    t = spec.start + float(rng.exponential(gap))
+    while t < end:
+        src_ips.append(source_ip(spec.source, addresses, rng))
+        delays.append(t)
+        t += float(rng.exponential(gap))
+    count = len(delays)
+    return fabric.inject_rows(delays, [spec.source] * count, src_ips,
+                              [spec.destination] * count, kind=spec.kind,
+                              flow_id=spec.flow_id,
+                              payload_bytes=spec.payload_bytes)

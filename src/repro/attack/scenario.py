@@ -441,6 +441,7 @@ class PulsingAttackSpec(AttackSpec):
         result = AttackTrafficResult(victim=victim, attackers=tuple(attackers))
         end = self.start + self.duration
         burst_len = self.period * self.duty_cycle
+        bursts = []
         for i, attacker in enumerate(attackers):
             burst_start = self.start
             while burst_start < end:
@@ -452,9 +453,9 @@ class PulsingAttackSpec(AttackSpec):
                         duration=window, spoofing=spoofing,
                         flow_id=3000 + i,
                     )
-                    result.attack_packets.extend(
-                        schedule_flow(fabric, spec, rng))
+                    bursts.append(schedule_flow(fabric, spec, rng))
                 burst_start += self.period
+        result.add_attack(*bursts)
         result.freeze_ids()
         return result
 

@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.attack.flows import Rows
 from repro.errors import ConfigurationError
+from repro.network.colqueue import BatchedFabric
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet
 from repro.topology.base import Topology
 from repro.util.validation import check_in_range, check_probability
 
@@ -181,29 +182,36 @@ def schedule_background(fabric: Fabric, pattern: TrafficPattern, *,
                         sources: Optional[Sequence[int]] = None,
                         start: float = 0.0,
                         payload_bytes: int = 64,
-                        flow_id: int = 0) -> List[Packet]:
+                        flow_id: int = 0) -> Rows:
     """Schedule open-loop Poisson background traffic on the fabric.
 
     Each source injects packets with exponential inter-arrival times of mean
     ``1/rate`` over ``[start, start + duration)``, destinations drawn from
-    ``pattern``. Returns the scheduled packets (for ground-truth scoring).
+    ``pattern``. Draws are scalar and in source order on every engine; the
+    whole sweep reaches ``fabric.inject_rows`` in one call. Returns the
+    scheduled packets (exact fabric) or their ids (columnar fabrics) for
+    ground-truth scoring.
     """
     check_in_range(rate, "rate", 1e-12, float("inf"))
     check_in_range(duration, "duration", 0.0, float("inf"))
-    nodes = list(fabric.topology.nodes()) if sources is None else list(sources)
-    packets: List[Packet] = []
-    seq = 0
+    topology = fabric.topology
+    nodes = list(topology.nodes()) if sources is None else list(sources)
+    delays: List[float] = []
+    srcs: List[int] = []
+    dsts: List[int] = []
+    end = start + duration
+    gap = 1.0 / rate
+    exponential = rng.exponential
+    destination = pattern.destination
     for source in nodes:
-        t = start + float(rng.exponential(1.0 / rate))
-        while t < start + duration:
-            dst = pattern.destination(source, fabric.topology, rng)
-            packet = fabric.make_packet(source, dst, seq=seq, flow_id=flow_id,
-                                        payload_bytes=payload_bytes)
-            fabric.inject(packet, delay=t)
-            packets.append(packet)
-            seq += 1
-            t += float(rng.exponential(1.0 / rate))
-    return packets
+        t = start + float(exponential(gap))
+        while t < end:
+            dsts.append(destination(source, topology, rng))
+            srcs.append(source)
+            delays.append(t)
+            t += float(exponential(gap))
+    return fabric.inject_rows(delays, srcs, None, dsts, flow_id=flow_id,
+                              payload_bytes=payload_bytes)
 
 
 def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
@@ -212,45 +220,32 @@ def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
                              sources: Optional[Sequence[int]] = None,
                              start: float = 0.0,
                              payload_bytes: int = 64) -> np.ndarray:
-    """Columnar twin of :func:`schedule_background` for the batched engine.
+    """Array-drawn twin of :func:`schedule_background` for columnar fabrics.
 
     Generates the same Poisson workload via the order-statistics
     construction — each source's packet count is ``Poisson(rate * duration)``
     and its arrival times are i.i.d. uniform over the window, which is
-    distributionally identical to summing exponential gaps — and writes all
-    rows straight into the fabric's columnar injection log: no ``Packet``
-    objects, no per-packet Python. Statistically equivalent to
+    distributionally identical to summing exponential gaps — and hands the
+    rows to ``fabric.inject_rows``. Statistically equivalent to
     :func:`schedule_background`, not draw-for-draw identical (the RNG is
-    consumed in array draws). Returns the allocated packet ids, the bulk
-    stand-in for the scalar variant's packet list.
+    consumed in array draws), so it is reserved for the columnar fabrics.
+    Returns the allocated packet ids.
     """
     check_in_range(rate, "rate", 1e-12, float("inf"))
     check_in_range(duration, "duration", 0.0, float("inf"))
-    log = getattr(fabric, "log", None)
-    if log is None or not hasattr(log, "extend"):
+    if not isinstance(fabric, BatchedFabric):
         raise ConfigurationError(
-            "schedule_background_bulk writes columnar injection rows and "
-            "requires a batched fabric (engine='batched'); use "
-            "schedule_background with the exact engine"
+            "schedule_background_bulk draws whole arrays and requires a "
+            "batched fabric (engine='batched'); use schedule_background "
+            "with the exact engine"
         )
-    from repro.network.ip import IPHeader
-    from repro.network.packet import allocate_packet_ids
-
     topology = fabric.topology
     nodes = (np.fromiter(topology.nodes(), dtype=np.int64,
                          count=topology.num_nodes)
              if sources is None else np.asarray(list(sources), dtype=np.int64))
     counts = rng.poisson(rate * duration, size=len(nodes))
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     srcs = np.repeat(nodes, counts)
-    times = fabric.sim.now + start + rng.random(total) * duration
+    delays = start + rng.random(srcs.size) * duration
     dests = pattern.destinations(srcs, topology, rng)
-    ip_base = fabric.addresses.base + 1  # ip_of(node) == base + node + 1
-    ids = np.arange(total, dtype=np.int64) + allocate_packet_ids(total)
-    sizes = np.full(total, IPHeader.HEADER_BYTES + payload_bytes,
-                    dtype=np.int64)
-    log.extend(times, srcs, srcs + ip_base, dests, dests + ip_base,
-               sizes, ids)
-    return ids
+    return fabric.inject_rows(delays, srcs, None, dests,
+                              payload_bytes=payload_bytes)

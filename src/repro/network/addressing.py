@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import AddressingError, ConfigurationError
 from repro.network.ip import format_ip
 
@@ -46,6 +48,10 @@ class AddressMap:
         if not 0 <= node < self.num_nodes:
             raise AddressingError(f"node {node} outside cluster of {self.num_nodes} nodes")
         return self.base + node + 1
+
+    def ips_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Column twin of :meth:`ip_of` for node indexes already range-checked."""
+        return nodes + (self.base + 1)
 
     def node_of(self, address: int) -> int:
         """Node index owning ``address``; raises AddressingError for outsiders."""

@@ -10,14 +10,15 @@ src/dst/MF-word/TTL/hop/time columns) advanced a whole round at a time by
 This module holds the network-side half:
 
 * :class:`InjectionLog` — the columnar capture buffer every traffic
-  generator writes into. ``Fabric.inject`` is the single funnel all in-tree
-  generators use, so overriding it captures floods, background noise, and
-  static attack campaigns without touching them.
+  generator writes into. ``Fabric.inject_rows`` is the single funnel all
+  in-tree generators use, so overriding it captures floods, background
+  noise, and static attack campaigns without touching them.
 * :class:`BatchedFabric` — a :class:`~repro.network.fabric.Fabric` whose
-  ``inject`` records columns instead of scheduling events and whose ``run``
-  hands the captured log to the cohort engine. Per-packet observation APIs
-  raise :class:`~repro.errors.ConfigurationError` (there are no packet
-  objects to observe); the columnar ``attach_delivery_sink`` surface is the
+  ``inject_rows`` banks whole columns instead of building and scheduling
+  packets and whose ``run`` hands the captured log to the cohort engine.
+  Per-packet observation APIs raise
+  :class:`~repro.errors.ConfigurationError` (there are no packet objects
+  to observe); the columnar ``attach_delivery_sink`` surface is the
   sanctioned replacement.
 * :class:`ShardedFabric` — the same capture surface, but ``run`` hands the
   log to :class:`repro.engine.sharded.ShardedEngine`, which partitions the
@@ -34,14 +35,15 @@ congestion timing).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
+from repro.network.ip import IPHeader
 from repro.network.nic import DeliveredPacket
-from repro.network.packet import Packet
+from repro.network.packet import Packet, PacketKind, allocate_packet_ids
 
 __all__ = ["InjectionLog", "BatchedFabric", "ShardedFabric"]
 
@@ -52,98 +54,65 @@ _PER_PACKET_MSG = (
 )
 
 
+#: (name, dtype) of the log's seven columns, in :meth:`InjectionLog.extend`
+#: argument order.
+_LOG_COLUMNS = (("times", np.float64), ("nodes", np.int64),
+                ("sources", np.int64), ("dests", np.int64),
+                ("dst_ips", np.int64), ("sizes", np.int64),
+                ("ids", np.int64))
+
+
 class InjectionLog:
     """Struct-of-arrays capture of every injection requested before a run.
 
-    Python lists during capture (appends are amortized O(1) and the capture
-    phase is per-packet by nature — the generators hand us one packet at a
-    time); :meth:`columns` converts to numpy once, sorted by injection time.
-    Columnar generators (``schedule_background_bulk``) bypass the lists
-    entirely via :meth:`extend`, which banks whole array chunks.
+    One representation: a list of chunks, each seven parallel numpy columns
+    banked by :meth:`extend` — one chunk per ``inject_rows`` call (a whole
+    flow or background sweep) or per single ``inject``. :meth:`columns`
+    merges them once, sorted by injection time.
     """
 
-    __slots__ = ("times", "nodes", "sources", "dests", "dst_ips", "sizes",
-                 "ids", "_chunks")
+    __slots__ = ("_chunks", "_rows")
 
     def __init__(self) -> None:
-        self.times: List[float] = []
-        self.nodes: List[int] = []
-        self.sources: List[int] = []
-        self.dests: List[int] = []
-        self.dst_ips: List[int] = []
-        self.sizes: List[int] = []
-        self.ids: List[int] = []
-        # Array chunks from bulk generators, merged with the scalar lists
-        # in columns(); order within the log never matters because columns()
-        # time-sorts the union.
         self._chunks: List[dict] = []
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self.times) + sum(
-            chunk["times"].size for chunk in self._chunks)
-
-    def append(self, time: float, node: int, src_ip: int, dst_node: int,
-               dst_ip: int, size: int, packet_id: int) -> None:
-        """Record one future injection as seven scalar column entries.
-
-        ``src_ip``/``dst_ip`` are the (possibly spoofed) header addresses the
-        delivery stream reports; ``node``/``dst_node`` are the fabric indexes
-        the cohort engine routes between.
-        """
-        self.times.append(time)
-        self.nodes.append(node)
-        self.sources.append(src_ip)
-        self.dests.append(dst_node)
-        self.dst_ips.append(dst_ip)
-        self.sizes.append(size)
-        self.ids.append(packet_id)
+        return self._rows
 
     def extend(self, times: np.ndarray, nodes: np.ndarray,
                src_ips: np.ndarray, dest_nodes: np.ndarray,
                dst_ips: np.ndarray, sizes: np.ndarray,
                ids: np.ndarray) -> None:
-        """Record a whole chunk of injections as seven parallel arrays.
+        """Record a chunk of future injections as seven parallel columns.
 
-        The bulk twin of :meth:`append`: columnar traffic generators hand
-        entire workloads over in one call, keeping the capture phase free of
-        per-packet Python. Arrays are banked as-is (no copies) and merged at
-        :meth:`columns` time.
+        ``src_ips``/``dst_ips`` are the (possibly spoofed) header addresses
+        the delivery stream reports; ``nodes``/``dest_nodes`` are the fabric
+        indexes the cohort engine routes between. Arrays are banked as-is
+        (no copies) and merged at :meth:`columns` time.
         """
-        arrays = {
-            "times": np.asarray(times, dtype=np.float64),
-            "nodes": np.asarray(nodes, dtype=np.int64),
-            "sources": np.asarray(src_ips, dtype=np.int64),
-            "dests": np.asarray(dest_nodes, dtype=np.int64),
-            "dst_ips": np.asarray(dst_ips, dtype=np.int64),
-            "sizes": np.asarray(sizes, dtype=np.int64),
-            "ids": np.asarray(ids, dtype=np.int64),
-        }
+        arrays = {name: np.asarray(column, dtype=dtype)
+                  for (name, dtype), column in zip(
+                      _LOG_COLUMNS, (times, nodes, src_ips, dest_nodes,
+                                     dst_ips, sizes, ids))}
         lengths = {column.size for column in arrays.values()}
         if len(lengths) != 1:
             raise ConfigurationError(
-                f"bulk injection columns disagree on length: {sorted(lengths)}")
+                f"injection columns disagree on length: {sorted(lengths)}")
         self._chunks.append(arrays)
+        self._rows += arrays["times"].size
 
     def columns(self) -> dict:
         """Materialize the capture as time-sorted numpy columns.
 
-        Sorting is stable, so simultaneous injections keep capture order —
-        the same tie-break the event queue's sequence numbers give the exact
-        engine.
+        Chunks merge in capture order and the sort is stable, so
+        simultaneous injections keep capture order — the same tie-break the
+        event queue's sequence numbers give the exact engine.
         """
-        scalar = {
-            "times": np.asarray(self.times, dtype=np.float64),
-            "nodes": np.asarray(self.nodes, dtype=np.int64),
-            "sources": np.asarray(self.sources, dtype=np.int64),
-            "dests": np.asarray(self.dests, dtype=np.int64),
-            "dst_ips": np.asarray(self.dst_ips, dtype=np.int64),
-            "sizes": np.asarray(self.sizes, dtype=np.int64),
-            "ids": np.asarray(self.ids, dtype=np.int64),
-        }
         merged = {
-            name: np.concatenate([scalar[name]]
+            name: np.concatenate([np.empty(0, dtype=dtype)]
                                  + [chunk[name] for chunk in self._chunks])
-            for name in scalar
+            for name, dtype in _LOG_COLUMNS
         }
         order = np.argsort(merged["times"], kind="stable")
         return {name: column[order] for name, column in merged.items()}
@@ -154,8 +123,8 @@ class BatchedFabric(Fabric):
 
     Construction, topology wiring, statistics surfaces, and the columnar
     delivery sinks are inherited unchanged from :class:`Fabric`; what
-    changes is the packet lifecycle: ``inject`` captures columns into an
-    :class:`InjectionLog` and ``run`` drives
+    changes is the packet lifecycle: ``inject_rows`` captures columns into
+    an :class:`InjectionLog` and ``run`` drives
     :class:`repro.engine.batched.CohortEngine` over them.
     """
 
@@ -179,15 +148,45 @@ class BatchedFabric(Fabric):
     # ------------------------------------------------------------------
     # Capture path
     # ------------------------------------------------------------------
+    def inject_rows(self, delays: Sequence[float], nodes: Sequence[int],
+                    src_ips: Optional[Sequence[int]],
+                    dst_nodes: Sequence[int], *,
+                    kind: PacketKind = PacketKind.DATA, flow_id: int = 0,
+                    payload_bytes: int = 64) -> np.ndarray:
+        """Capture the rows as one log chunk; returns their packet ids.
+
+        Same rows, same checks and the same ids as
+        :meth:`Fabric.inject_rows` would give the packets it builds — one
+        contiguous block from the global counter — but no ``Packet``,
+        header or route state is built. ``kind`` and ``flow_id`` are
+        workload bookkeeping carried only by packet objects; cohort rows
+        have no column for them.
+        """
+        node_col, src_col, dst_col = self._check_rows(
+            delays, nodes, src_ips, dst_nodes, payload_bytes)
+        count = node_col.size
+        ids = np.arange(count, dtype=np.int64) + allocate_packet_ids(count)
+        self.log.extend(
+            self.sim.now + np.asarray(delays, dtype=np.float64), node_col,
+            src_col, dst_col, self.addresses.ips_of(dst_col),
+            np.full(count, IPHeader.HEADER_BYTES + payload_bytes,
+                    dtype=np.int64),
+            ids)
+        return ids
+
     def inject(self, packet: Packet, at_node: Optional[int] = None,
                delay: float = 0.0) -> None:
-        """Capture ``packet`` as one columnar row (no event is scheduled)."""
+        """Capture a prebuilt ``packet`` as a one-row chunk (no event).
+
+        The row keeps the packet's own id and header addresses.
+        """
         node = at_node if at_node is not None else packet.true_source
         if not self.topology.contains(node):
             raise ConfigurationError(f"injection node {node} outside topology")
-        self.log.append(self.sim.now + delay, node, packet.header.src,
-                        packet.destination_node, packet.header.dst,
-                        packet.size_bytes, packet.packet_id)
+        header = packet.header
+        self.log.extend([self.sim.now + delay], [node], [header.src],
+                        [packet.destination_node], [header.dst],
+                        [packet.size_bytes], [packet.packet_id])
 
     # ------------------------------------------------------------------
     # Per-packet observation APIs are structurally unavailable

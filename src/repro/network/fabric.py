@@ -5,6 +5,8 @@ node and two directed :class:`Channel` objects per live link, wires the
 marking scheme into the switch pipeline, and exposes:
 
 * :meth:`inject` — push a packet into the network at a node/time;
+* :meth:`inject_rows` — schedule a whole flow or background sweep, given as
+  plain columns (the funnel every traffic generator uses);
 * :meth:`run_until` / :meth:`run` — advance the discrete-event clock;
 * delivery handlers per node (the victim's defense stack subscribes here);
 * global statistics (delivered/dropped counts, latency, hop histogram).
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, Histogram, WelfordAccumulator
@@ -291,6 +295,83 @@ class Fabric:
                                 misroute_budget=self.config.misroute_budget)
         return Packet(header, src_node, dst_node, kind=kind, flow_id=flow_id,
                       seq=seq, misroute_budget=self.config.misroute_budget)
+
+    def inject_rows(self, delays: Sequence[float], nodes: Sequence[int],
+                    src_ips: Optional[Sequence[int]],
+                    dst_nodes: Sequence[int], *,
+                    kind: PacketKind = PacketKind.DATA, flow_id: int = 0,
+                    payload_bytes: int = 64) -> List[Packet]:
+        """Schedule one packet per row: the funnel every traffic generator uses.
+
+        Row ``i`` is the packet the host at ``nodes[i]`` sends to
+        ``dst_nodes[i]``, entering ``delays[i]`` from now with header
+        source ``src_ips[i]`` (``None``: every row's honest address) and
+        ``seq`` ``i``. The whole call is validated before any row is
+        scheduled. This fabric builds and schedules each packet exactly as
+        :meth:`make_packet` + :meth:`inject` would and returns them in row
+        order; the columnar fabrics capture the rows without building
+        packets and return their ids instead.
+        """
+        self._check_rows(delays, nodes, src_ips, dst_nodes, payload_bytes)
+        if src_ips is None:
+            src_ips = [None] * len(nodes)
+        packets: List[Packet] = []
+        for seq, (delay, node, src_ip, dst) in enumerate(
+                zip(delays, nodes, src_ips, dst_nodes)):
+            packet = self.make_packet(node, dst, spoofed_src_ip=src_ip,
+                                      kind=kind, flow_id=flow_id, seq=seq,
+                                      payload_bytes=payload_bytes)
+            self.inject(packet, delay=delay)
+            packets.append(packet)
+        return packets
+
+    def _check_rows(self, delays: Sequence[float], nodes: Sequence[int],
+                    src_ips: Optional[Sequence[int]],
+                    dst_nodes: Sequence[int], payload_bytes: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reject an :meth:`inject_rows` call that any row would fail.
+
+        The checks are the per-packet ones of :meth:`make_packet`,
+        :class:`IPHeader` and :meth:`inject`, run over whole columns:
+        source and destination nodes inside the topology, 32-bit source
+        addresses, total length at least the header. Returns the node,
+        source-address and destination columns as int64 arrays.
+        """
+        count = len(delays)
+        if not len(nodes) == len(dst_nodes) == count \
+                or (src_ips is not None and len(src_ips) != count):
+            raise ConfigurationError("inject_rows columns disagree on length")
+        num_nodes = self.topology.num_nodes
+        try:
+            node_col = np.asarray(nodes, dtype=np.int64)
+            dst_col = np.asarray(dst_nodes, dtype=np.int64)
+        except OverflowError:
+            raise ConfigurationError(
+                f"nodes outside topology of {num_nodes} nodes") from None
+        outside = (node_col < 0) | (node_col >= num_nodes) \
+            | (dst_col < 0) | (dst_col >= num_nodes)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise ConfigurationError(
+                f"nodes ({node_col[row]}, {dst_col[row]}) outside topology "
+                f"of {num_nodes} nodes")
+        if src_ips is None:
+            src_col = self.addresses.ips_of(node_col)
+        else:
+            try:
+                src_col = np.asarray(src_ips, dtype=np.int64)
+                valid = bool(((src_col >= 0) & (src_col <= 0xFFFFFFFF)).all())
+            except OverflowError:
+                valid = False
+            if not valid:
+                bad = next(ip for ip in src_ips if not 0 <= ip <= 0xFFFFFFFF)
+                raise ConfigurationError(
+                    f"src address {bad!r} is not a 32-bit value")
+        total_length = IPHeader.HEADER_BYTES + payload_bytes
+        if total_length < IPHeader.HEADER_BYTES:
+            raise ConfigurationError(
+                f"total_length {total_length} below header size")
+        return node_col, src_col, dst_col
 
     def inject(self, packet: Packet, at_node: Optional[int] = None,
                delay: float = 0.0) -> None:

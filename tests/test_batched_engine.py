@@ -326,16 +326,24 @@ class TestBulkInjection:
             allocate_packet_ids(-1)
 
     def test_injection_log_merges_scalar_and_bulk(self):
-        log = InjectionLog()
-        log.append(0.5, 1, 11, 2, 12, 84, 100)
-        log.extend(np.array([0.25, 0.75]), np.array([3, 4]),
-                   np.array([13, 14]), np.array([5, 6]),
-                   np.array([15, 16]), np.array([84, 84]),
-                   np.array([101, 102]))
-        assert len(log) == 3
-        columns = log.columns()
-        assert columns["times"].tolist() == [0.25, 0.5, 0.75]
-        assert columns["ids"].tolist() == [101, 100, 102]
+        """A one-packet inject is a one-row chunk like any bulk chunk; the
+        merge is time-sorted and keeps capture order on ties."""
+        from repro.network.ip import IPHeader
+
+        fabric = BatchedFabric(Mesh((4, 4)), DimensionOrderRouter())
+        packet = Packet(IPHeader(11, 12, total_length=84), 1, 2)
+        fabric.inject(packet, delay=0.5)
+        fabric.log.extend(np.array([0.25, 0.5]), np.array([3, 4]),
+                          np.array([13, 14]), np.array([5, 6]),
+                          np.array([15, 16]), np.array([84, 84]),
+                          np.array([101, 102]))
+        assert len(fabric.log) == 3
+        columns = fabric.log.columns()
+        assert columns["times"].tolist() == [0.25, 0.5, 0.5]
+        assert columns["ids"].tolist() == [101, packet.packet_id, 102]
+        assert columns["sources"].tolist() == [13, 11, 14]
+        assert columns["dst_ips"].tolist() == [15, 12, 16]
+        assert len(InjectionLog().columns()["ids"]) == 0
 
     def test_injection_log_extend_length_mismatch(self):
         log = InjectionLog()
