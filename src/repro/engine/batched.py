@@ -9,7 +9,7 @@ those activated this round or advanced last round; rows waiting behind a
 full channel sit in a (channel, rank) queue:
 
 1. **activate** — injections whose time fell below the round frontier join
-   the fresh set (vectorized ``on_inject`` words, TTL, VCT injection
+   the fresh set (the scheme's ``inject_array`` words, TTL, VCT injection
    overhead);
 2. **retire** — fresh rows at their destination deliver (bulk statistics,
    columnar :class:`~repro.network.markstream.DeliveryRing` feed); fresh
@@ -27,9 +27,15 @@ full channel sit in a (channel, rank) queue:
    (channel, rank) queue and at most ``buffer_capacity`` rows enter each
    directed channel per round, lowest rank first; the rest wait a round
    and feed the congestion signal;
-6. **advance** — admitted rows, in rank order, decrement TTL, apply the
-   vectorized marking transform, and step to the next node; they are the
-   next round's fresh rows.
+6. **advance** — admitted rows, in rank order, decrement TTL, take the
+   scheme's ``on_hop_array`` transform, and step to the next node; they
+   are the next round's fresh rows.
+
+Marking lives entirely in the scheme, in the columnar half of
+:class:`~repro.marking.base.MarkingScheme` (DESIGN.md §12): the engine
+keeps words at zero when no scheme is configured, and a scheme without a
+columnar transform refuses through the base ``on_hop_array`` the first
+time a round marks a row.
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -40,23 +46,19 @@ offsets make the delivered word a pure function of source and destination);
 statistically equivalent elsewhere (probabilistic marking, adaptive
 tie-breaks, latency timing).
 
-Per-row Python work is banned here by lint rule H3
-(``no-per-packet-python-in-batched-path``); the loops below are per-round,
-per-unique-key, or per-run and carry audited suppressions.
+Per-row Python work is banned here, and in the marking modules the round
+reaches, by lint rule H3 (``no-per-packet-python-in-batched-path``); the
+loops below are per-round, per-unique-key, or per-run and carry audited
+suppressions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.marking.advanced_ppm import AdvancedPpmScheme
-from repro.marking.ddpm import DdpmScheme
-from repro.marking.dpm import DpmScheme
-from repro.marking.ppm import PpmScheme
-from repro.marking.ppm_fragment import FragmentPpmScheme
 from repro.network.flowcontrol import VirtualCutThrough
 from repro.network.ip import IPHeader
 from repro.routing.adaptive import FullyAdaptiveRouter, MinimalAdaptiveRouter
@@ -69,249 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.colqueue import BatchedFabric
 
 __all__ = ["CohortEngine"]
-
-
-def _probe_map(keys: np.ndarray, table: Dict[int, int],
-               fn: Callable[[int], int]) -> np.ndarray:
-    """Map int keys through a lazily probed scalar function.
-
-    Only *distinct unseen* keys ever reach the Python function — the
-    steady-state cost is one ``np.unique`` plus a dict hit per distinct key,
-    exactly the int-keyed per-hop memo pattern the exact engine uses, read
-    back as a lookup array.
-    """
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    values = np.empty(uniq.size, dtype=np.int64)
-    for i, key in enumerate(uniq.tolist()):  # per-unique-key probe  # repro-lint: disable=H3
-        hit = table.get(key)
-        if hit is None:
-            hit = table[key] = int(fn(key))
-        values[i] = hit
-    return values[inverse]
-
-
-# ----------------------------------------------------------------------
-# Vectorized marking twins
-# ----------------------------------------------------------------------
-class _NoneMarker:
-    """No marking scheme configured: MF words stay zero."""
-
-    exact = True
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return words
-
-
-class _DdpmMarker:
-    """Vectorized DDPM: decode -> coordinate delta -> encode, per cohort.
-
-    The per-hop transform telescopes (sum of hop deltas == destination
-    coordinate minus source coordinate, mod k on tori / XOR on hypercubes),
-    so the delivered word is independent of the route taken — batched DDPM
-    is *exact* even under adaptive routing.
-    """
-
-    exact = True
-
-    def __init__(self, scheme: DdpmScheme, topology: Topology):
-        self.layout = scheme.layout
-        self.inject_word = int(scheme._inject_word)
-        self.coords = np.array(
-            [topology.coord(i) for i in topology.nodes()], dtype=np.int64)
-        self.xor = topology.kind == "hypercube"
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.inject_word, dtype=np.int64)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        vectors = self.layout.decode_array(words)
-        if self.xor:
-            vectors ^= self.coords[dst] ^ self.coords[src]
-        else:
-            # Mesh deltas are exact; torus deltas may differ from the
-            # canonical minimal residue by a multiple of k, which the
-            # encoder's fold removes.
-            vectors += self.coords[dst] - self.coords[src]
-        return self.layout.encode_array(vectors)
-
-
-class _DpmMarker:
-    """Vectorized DPM: own hash bit at position ``ttl mod mf_bits``."""
-
-    exact = True
-
-    def __init__(self, scheme: DpmScheme, topology: Topology):
-        self.mf_bits = scheme.mf_bits
-        bits = np.zeros(topology.num_nodes, dtype=np.int64)
-        for node, bit in sorted(scheme._node_bits.items()):  # per-node, once
-            bits[node] = bit
-        self.bits = bits
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        position = ttls % self.mf_bits
-        return (words & ~(1 << position)) | (self.bits[src] << position)
-
-
-class _PpmMarker:
-    """Vectorized classic-PPM family (full-index / XOR / bit-difference).
-
-    The coin mask draws from the cohort stream (statistically equivalent;
-    exact at p in {0, 1}); both branch transforms are pure functions —
-    ``write_start`` of the node, ``write_continue`` of (word, node) — served
-    through probed lookup tables.
-    """
-
-    exact = False
-
-    def __init__(self, scheme: PpmScheme, topology: Topology):
-        self.encoder = scheme.encoder
-        self.probability = scheme.probability
-        self.n = topology.num_nodes
-        self._start: Dict[int, int] = {}
-        self._continue: Dict[int, int] = {}
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def _start_fn(self, node: int) -> int:
-        return self.encoder.write_start(0, node)
-
-    def _continue_fn(self, key: int) -> int:
-        return self.encoder.write_continue(key // self.n, key % self.n)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = words.copy()
-        mark = rng.random(words.size) < self.probability
-        if mark.any():
-            out[mark] = _probe_map(src[mark], self._start, self._start_fn)
-        rest = ~mark
-        if rest.any():
-            keys = words[rest] * self.n + src[rest]
-            out[rest] = _probe_map(keys, self._continue, self._continue_fn)
-        return out
-
-
-class _FragmentMarker:
-    """Vectorized fragment-PPM: coin + fragment-offset draw per mark."""
-
-    exact = False
-
-    def __init__(self, scheme: FragmentPpmScheme, topology: Topology):
-        self.enc = scheme.encoder
-        self.probability = scheme.probability
-        self.n = topology.num_nodes
-        self._mark: Dict[int, int] = {}
-        self._continue: Dict[int, int] = {}
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def _mark_fn(self, key: int) -> int:
-        enc = self.enc
-        edge, offset = divmod(key, enc.num_fragments)
-        u, v = divmod(edge, self.n)
-        word = enc.edge_word(u, v)
-        return enc.layout.pack({"fragment": enc.fragment_of(word, offset),
-                                "offset": offset, "distance": 0})
-
-    def _continue_fn(self, word: int) -> int:
-        enc = self.enc
-        values = enc.layout.unpack(word)
-        values["distance"] = min(values["distance"] + 1, enc.max_distance)
-        return enc.layout.pack(values)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = words.copy()
-        mark = rng.random(words.size) < self.probability
-        m = int(np.count_nonzero(mark))
-        if m:
-            offsets = rng.integers(self.enc.num_fragments, size=m)
-            keys = ((src[mark] * self.n + dst[mark])
-                    * self.enc.num_fragments + offsets)
-            out[mark] = _probe_map(keys, self._mark, self._mark_fn)
-        rest = ~mark
-        if rest.any():
-            out[rest] = _probe_map(words[rest], self._continue,
-                                   self._continue_fn)
-        return out
-
-
-class _AdvancedMarker:
-    """Vectorized Advanced Marking Scheme I (edge-hash marks)."""
-
-    exact = False
-
-    def __init__(self, scheme: AdvancedPpmScheme, topology: Topology):
-        self.scheme = scheme
-        self.probability = scheme.probability
-        self.n = topology.num_nodes
-        self.inject_word = scheme.layout.pack(
-            {"edge": 0, "distance": scheme.max_distance})
-        self._mark: Dict[int, int] = {}
-        self._continue: Dict[int, int] = {}
-
-    def inject(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.inject_word, dtype=np.int64)
-
-    def _mark_fn(self, node: int) -> int:
-        scheme = self.scheme
-        return scheme.layout.pack({"edge": scheme.node_hash(node),
-                                   "distance": 0})
-
-    def _continue_fn(self, key: int) -> int:
-        scheme = self.scheme
-        word, node = divmod(key, self.n)
-        values = scheme.layout.unpack(word)
-        if values["distance"] == 0:
-            values["edge"] ^= scheme.node_hash(node)
-        values["distance"] = min(values["distance"] + 1, scheme.max_distance)
-        return scheme.layout.pack(values)
-
-    def on_hop(self, words: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ttls: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = words.copy()
-        mark = rng.random(words.size) < self.probability
-        if mark.any():
-            out[mark] = _probe_map(src[mark], self._mark, self._mark_fn)
-        rest = ~mark
-        if rest.any():
-            keys = words[rest] * self.n + src[rest]
-            out[rest] = _probe_map(keys, self._continue, self._continue_fn)
-        return out
-
-
-def _marker_for(scheme, topology: Topology):
-    """Exact-type dispatch: subclasses (ddpm-auth, hddpm) are refused —
-    their per-hop state (HMAC chains, hierarchy tags) has no columnar twin
-    yet."""
-    if scheme is None:
-        return _NoneMarker()
-    if type(scheme) is DdpmScheme:
-        return _DdpmMarker(scheme, topology)
-    if type(scheme) is DpmScheme:
-        return _DpmMarker(scheme, topology)
-    if type(scheme) is PpmScheme:
-        return _PpmMarker(scheme, topology)
-    if type(scheme) is FragmentPpmScheme:
-        return _FragmentMarker(scheme, topology)
-    if type(scheme) is AdvancedPpmScheme:
-        return _AdvancedMarker(scheme, topology)
-    name = getattr(scheme, "name", type(scheme).__name__)
-    raise ConfigurationError(
-        f"marking scheme {name!r} is not supported by the batched engine; "
-        "use engine='exact'"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +285,7 @@ class CohortEngine:
         self.n = topology.num_nodes
         cfg = fabric.config
         self.planner = _RoutePlanner(fabric.router, topology)
-        self.marker = _marker_for(fabric.marking, topology)
+        self.marking = fabric.marking
         self.rng = self.sim.rng.stream("batched-cohort")
         self.quota = cfg.buffer_capacity
         self.default_ttl = cfg.default_ttl
@@ -763,7 +522,8 @@ class CohortEngine:
         self.dst[ranks] = pending["dests"][lo:hi]
         self.src_ip[ranks] = pending["sources"][lo:hi]
         self.dst_ip[ranks] = pending["dst_ips"][lo:hi]
-        self.words[ranks] = self.marker.inject(m, self.rng)
+        marking = self.marking
+        self.words[ranks] = 0 if marking is None else marking.inject_array(m)
         self.ttls[ranks] = self.default_ttl
         self.hops[ranks] = 0
         self.time[ranks] = times
@@ -950,8 +710,9 @@ class CohortEngine:
         pos = self.pos[ranks]
         ttls = self.ttls[ranks] - 1
         self.ttls[ranks] = ttls
-        self.words[ranks] = self.marker.on_hop(self.words[ranks], pos, nxt,
-                                               ttls, self.rng)
+        if self.marking is not None:
+            self.words[ranks] = self.marking.on_hop_array(
+                self.words[ranks], pos, nxt, ttls, self.rng)
         self.hops[ranks] += 1
         cfg = self.fabric.config
         self.time[ranks] = times[order] + (

@@ -540,9 +540,15 @@ class NoPerPacketCallbacks(Rule):
 
 # ----------------------------------------------------------------------
 #: the batched cohort-advance path: every per-row operation in these
-#: modules must be a whole-array numpy step, never a Python loop.
-_BATCHED_PATH_MODULES = frozenset({"engine/batched.py", "engine/sharded.py",
-                                   "network/colqueue.py"})
+#: modules must be a whole-array numpy step, never a Python loop. The
+#: marking modules are on it because the cohort round calls each scheme's
+#: ``inject_array``/``on_hop_array`` and what those reach.
+_BATCHED_PATH_MODULES = frozenset({
+    "engine/batched.py", "engine/sharded.py", "network/colqueue.py",
+    "marking/base.py", "marking/ddpm.py", "marking/ddpm_layout.py",
+    "marking/dpm.py", "marking/ppm.py", "marking/ppm_encoding.py",
+    "marking/ppm_fragment.py", "marking/advanced_ppm.py",
+    "marking/authentication.py", "marking/field.py"})
 
 #: method names that anchor the steady-state advance path.
 _ENGINE_ROOT_METHODS = frozenset({"run", "advance", "advance_window"})
@@ -572,7 +578,8 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
         "explicit for/while loops and per-packet callback registrations "
         "reachable from the cohort-advance roots "
         "(Engine.run/advance/advance_window) in the batched modules "
-        "(engine/batched.py, engine/sharded.py, network/colqueue.py) "
+        "(engine/batched.py, engine/sharded.py, network/colqueue.py, and "
+        "the marking modules behind inject_array/on_hop_array) "
         "reintroduce per-row Python cost; build-time construction is exempt"
     )
     hint = (

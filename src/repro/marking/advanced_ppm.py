@@ -25,7 +25,8 @@ from typing import Dict, FrozenSet, Optional, Set, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError, FieldLayoutError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import (MarkingScheme, VictimAnalysis, _coin_hop_array,
+                                _probe_map)
 from repro.marking.field import SubfieldLayout
 from repro.network.ip import MF_BITS
 from repro.network.packet import Packet
@@ -85,6 +86,9 @@ class AdvancedPpmScheme(MarkingScheme):
         self.distance_bits = distance_bits
         self._node_hash = {n: hash_bits(n, self.hash_bits_width)
                            for n in topology.nodes()}
+        # Columnar memos of the two pure branch transforms below.
+        self._start_memo: Dict[int, int] = {}
+        self._continue_memo: Dict[int, int] = {}
 
     def node_hash(self, node: int) -> int:
         """h(node): the fixed-width switch hash."""
@@ -108,16 +112,48 @@ class AdvancedPpmScheme(MarkingScheme):
         packet.header.identification = self.layout.pack(
             {"edge": 0, "distance": self.max_distance})
 
+    def _start_mark(self, node: int) -> int:
+        """Marking branch: a fresh mark ``h(node)`` at distance 0."""
+        return self.layout.pack({"edge": self.node_hash(node), "distance": 0})
+
+    def _continue_mark(self, word: int, node: int) -> int:
+        """Else-branch: XOR ``h(node)`` into a distance-0 mark, then count
+        the hop (saturating)."""
+        values = self.layout.unpack(word)
+        if values["distance"] == 0:
+            values["edge"] ^= self.node_hash(node)
+        values["distance"] = min(values["distance"] + 1, self.max_distance)
+        return self.layout.pack(values)
+
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
-        values = self.layout.unpack(packet.header.identification)
         if self.rng.random() < self.probability:
-            values["edge"] = self.node_hash(from_node)
-            values["distance"] = 0
+            word = self._start_mark(from_node)
         else:
-            if values["distance"] == 0:
-                values["edge"] ^= self.node_hash(from_node)
-            values["distance"] = min(values["distance"] + 1, self.max_distance)
-        packet.header.identification = self.layout.pack(values)
+            word = self._continue_mark(packet.header.identification, from_node)
+        packet.header.identification = word
+
+    def inject_array(self, n: int) -> np.ndarray:
+        """The saturated-distance word of :meth:`on_inject`, once per row."""
+        self._require_attached()
+        word = self.layout.pack({"edge": 0, "distance": self.max_distance})
+        return np.full(n, word, dtype=np.int64)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: one coin per row from ``rng``, then
+        :meth:`_start_mark` or :meth:`_continue_mark`, probed once per
+        distinct key."""
+        n = self._require_attached().num_nodes
+
+        def start(mark: np.ndarray) -> np.ndarray:
+            return _probe_map(src[mark], self._start_memo, self._start_mark)
+
+        def cont(rest: np.ndarray) -> np.ndarray:
+            return _probe_map(words[rest] * n + src[rest], self._continue_memo,
+                              lambda key: self._continue_mark(*divmod(key, n)))
+
+        return _coin_hop_array(words, rng, self.probability, start, cont)
 
     # -- victim side -----------------------------------------------------------
     def new_victim_analysis(self, victim: int) -> "AdvancedPpmVictimAnalysis":

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError, IdentificationError
+from repro.marking.base import MarkingScheme
 from repro.marking.ddpm import DdpmScheme
 from repro.network.packet import Packet
 from repro.topology.base import Topology
@@ -101,6 +104,13 @@ class AuthenticatedDdpmScheme(DdpmScheme):
         trail = self._trail_of(packet)
         trail.append(AuditEntry(from_node, mf,
                                 _mac(self.keys[from_node], from_node, mf, packet.packet_id)))
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Refused, not inherited from DDPM: the per-hop audit trail rides
+        in packet payloads, which the columnar engines do not carry."""
+        return MarkingScheme.on_hop_array(self, words, src, dst, ttls, rng)
 
     @staticmethod
     def _trail_of(packet: Packet) -> List[AuditEntry]:

@@ -1,7 +1,10 @@
 """Marking-scheme and victim-analysis interfaces.
 
 A :class:`MarkingScheme` is the switch-side half: it initializes the marking
-field at injection and mutates it at every hop. A :class:`VictimAnalysis` is
+field at injection and mutates it at every hop — per packet (``on_inject`` /
+``on_hop``, the exact engine) or per column of rows (``inject_array`` /
+``on_hop_array``, the batched and sharded engines), both halves built from
+the scheme's own transforms. A :class:`VictimAnalysis` is
 the destination-side half: it observes delivered packets and maintains a
 suspect set of source nodes. The two halves communicate *only* through the
 16-bit MF — tests enforce that no ground-truth leaks through.
@@ -14,7 +17,9 @@ good as its (route-stability-dependent) signature table.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Optional, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import (ConfigurationError, IdentificationError,
                           MarkingError)
@@ -130,6 +135,30 @@ class MarkingScheme(ABC):
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         """Per-hop mark applied by the switch at ``from_node`` after routing."""
 
+    # -- switch side, columnar (batched and sharded engines) -----------------
+    def inject_array(self, n: int) -> np.ndarray:
+        """MF words of ``n`` injected rows: the word :meth:`on_inject` writes.
+
+        Default zeroes, matching the default :meth:`on_inject`.
+        """
+        self._require_attached()
+        return np.zeros(n, dtype=np.int64)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: the MF words after one hop, row by row.
+
+        Row ``i`` moves from ``src[i]`` to ``dst[i]`` carrying ``words[i]``
+        with its already-decremented TTL ``ttls[i]``; rows come in rank
+        order and any marking draws come from ``rng``. Default refuses: a
+        scheme without a columnar transform runs on the exact engine only.
+        """
+        raise ConfigurationError(
+            f"marking scheme {self.name!r} is not supported by the batched "
+            "engine; use engine='exact'"
+        )
+
     # -- victim side -------------------------------------------------------
     @abstractmethod
     def new_victim_analysis(self, victim: int) -> VictimAnalysis:
@@ -146,3 +175,44 @@ class MarkingScheme(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _probe_map(keys: np.ndarray, table: Dict[int, int],
+               fn: Callable[[int], int]) -> np.ndarray:
+    """Map int keys through a lazily probed scalar function.
+
+    Only *distinct unseen* keys ever reach the Python function — the
+    steady-state cost is one ``np.unique`` plus a dict hit per distinct key,
+    exactly the int-keyed per-hop memo pattern the exact engine uses, read
+    back as a lookup array.
+    """
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    values = np.empty(uniq.size, dtype=np.int64)
+    for i, key in enumerate(uniq.tolist()):  # per-unique-key probe  # repro-lint: disable=H3
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = int(fn(key))
+        values[i] = hit
+    return values[inverse]
+
+
+def _coin_hop_array(words: np.ndarray, rng: np.random.Generator,
+                    probability: float,
+                    start: Callable[[np.ndarray], np.ndarray],
+                    cont: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Columnar edge-sampling hop shared by the PPM family.
+
+    One coin column decides, per row, between the two branches:
+    ``start(mark)`` returns the words of the rows that begin a new mark,
+    ``cont(rest)`` those of the rows that continue the stored one. The coin
+    column is drawn before either branch runs, so draws ``start`` makes
+    follow it in the stream.
+    """
+    out = words.copy()
+    mark = rng.random(words.size) < probability
+    if mark.any():
+        out[mark] = start(mark)
+    rest = ~mark
+    if rest.any():
+        out[rest] = cont(rest)
+    return out

@@ -52,6 +52,8 @@ class DdpmScheme(MarkingScheme):
         self._delta_cache: Dict[tuple, tuple] = {}
         self._inject_word: Optional[int] = None
         self._n_nodes = 0
+        # Node coordinates, one row per node: the columnar hop's deltas.
+        self._coords = np.empty((0, 0), dtype=np.int64)
 
     def _on_attach(self, topology: Topology) -> None:
         self.layout = DdpmLayout.for_topology(topology, total_bits=self.total_bits)
@@ -59,6 +61,8 @@ class DdpmScheme(MarkingScheme):
         self._delta_cache = {}
         self._inject_word = self.layout.encode(topology.identity_offset())
         self._n_nodes = topology.num_nodes
+        self._coords = np.array([topology.coord(i) for i in topology.nodes()],
+                                dtype=np.int64)
 
     # -- switch side -------------------------------------------------------
     def on_inject(self, packet: Packet, node: int) -> None:
@@ -101,6 +105,30 @@ class DdpmScheme(MarkingScheme):
                 word = ident
             self._hop_cache[key] = word
         packet.header.identification = word
+
+    def inject_array(self, n: int) -> np.ndarray:
+        """The zero distance vector, once per injected row."""
+        self._require_attached()
+        return np.full(n, self._inject_word, dtype=np.int64)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar V' := V + (Y - X): decode, add the deltas, encode.
+
+        The transform telescopes, so the delivered word is a pure function
+        of source and destination whatever the route; no draws are made.
+        """
+        topo = self._require_attached()
+        vectors = self.layout.decode_array(words)
+        if topo.kind == "hypercube":
+            vectors ^= self._coords[dst] ^ self._coords[src]
+        else:
+            # Mesh deltas are exact; torus deltas may differ from the
+            # canonical minimal residue by a multiple of k, which the
+            # encoder's fold removes.
+            vectors += self._coords[dst] - self._coords[src]
+        return self.layout.encode_array(vectors)
 
     # -- victim side -------------------------------------------------------
     def identify_word(self, word: int, victim: int) -> int:

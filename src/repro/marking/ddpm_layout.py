@@ -164,7 +164,7 @@ class DdpmLayout:
                 f"vector arity {len(vector)} != {len(self.dims)} dimensions"
             )
         word = 0
-        for (offset, mask, low, high, _sign, k, fold_max), v in zip(
+        for (offset, mask, low, high, _sign, k, fold_max), v in zip(  # per-axis, scalar word  # repro-lint: disable=H3
                 self._slot_meta, vector):
             if k:
                 v = v % k
@@ -183,7 +183,7 @@ class DdpmLayout:
                 f"word {word} is not a {self.total_bits}-bit value"
             )
         out = []
-        for offset, mask, _low, _high, sign_bit, _k, _fold_max in self._slot_meta:
+        for offset, mask, _low, _high, sign_bit, _k, _fold_max in self._slot_meta:  # per-axis, scalar word  # repro-lint: disable=H3
             raw = (word >> offset) & mask
             if sign_bit and raw >= sign_bit:
                 raw -= sign_bit << 1
@@ -206,8 +206,8 @@ class DdpmLayout:
                 f"decode_array got values outside the {self.total_bits}-bit range"
             )
         out = np.empty((column.size, len(self.dims)), dtype=np.int64)
-        for axis, (offset, mask, _low, _high, sign_bit, _k, _fold_max) in \
-                enumerate(self._slot_meta):
+        for axis, (offset, mask, _low, _high, sign_bit, _k, _fold_max) in enumerate(  # per-axis over whole columns  # repro-lint: disable=H3
+                self._slot_meta):
             raw = (column >> offset) & mask
             if sign_bit:
                 raw = np.where(raw >= sign_bit, raw - (sign_bit << 1), raw)
@@ -229,8 +229,8 @@ class DdpmLayout:
                 f"vectors has shape {arr.shape}, expected (n, {len(self.dims)})"
             )
         words = np.zeros(arr.shape[0], dtype=np.int64)
-        for axis, (offset, mask, low, high, _sign, k, fold_max) in \
-                enumerate(self._slot_meta):
+        for axis, (offset, mask, low, high, _sign, k, fold_max) in enumerate(  # per-axis over whole columns  # repro-lint: disable=H3
+                self._slot_meta):
             v = arr[:, axis]
             if k:
                 v = v % k

@@ -52,11 +52,15 @@ class DpmScheme(MarkingScheme):
             raise ConfigurationError(f"mf_bits must be >= 1, got {mf_bits}")
         self.mf_bits = mf_bits
         # node -> hash bit, filled for the whole topology on attach so the
-        # per-hop path never recomputes the hash.
+        # per-hop path never recomputes the hash; the columnar hop indexes
+        # the same bits as an array.
         self._node_bits: Dict[int, int] = {}
+        self._bit_column = np.zeros(0, dtype=np.int64)
 
     def _on_attach(self, topology: Topology) -> None:
-        self._node_bits = {node: hash_bits(node, 1) for node in topology.nodes()}
+        bits = [hash_bits(node, 1) for node in topology.nodes()]
+        self._node_bits = dict(zip(topology.nodes(), bits))
+        self._bit_column = np.array(bits, dtype=np.int64)
 
     def node_bit(self, node: int) -> int:
         """The single bit this switch stamps: low bit of its index hash."""
@@ -80,6 +84,14 @@ class DpmScheme(MarkingScheme):
         word = packet.header.identification
         word = (word & ~(1 << position)) | (bit << position)
         packet.header.identification = word
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: each row's bit at ``ttl mod mf_bits``."""
+        self._require_attached()
+        position = ttls % self.mf_bits
+        return (words & ~(1 << position)) | (self._bit_column[src] << position)
 
     # -- victim side -------------------------------------------------------
     def new_victim_analysis(self, victim: int,

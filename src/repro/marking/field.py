@@ -78,7 +78,7 @@ class SubfieldLayout:
 
     def value_range(self, name: str) -> Tuple[int, int]:
         """(min, max) representable value of slot ``name``."""
-        for slot_name, _, width, signed in self._slots:
+        for slot_name, _, width, signed in self._slots:  # per-subfield, scalar  # repro-lint: disable=H3
             if slot_name == name:
                 if signed:
                     return -(1 << (width - 1)), (1 << (width - 1)) - 1
@@ -99,7 +99,7 @@ class SubfieldLayout:
                 f"pack values mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
         word = 0
-        for name, offset, width, signed in self._slots:
+        for name, offset, width, signed in self._slots:  # per-subfield, probed keys only  # repro-lint: disable=H3
             value = values[name]
             try:
                 raw = to_unsigned(value, width) if signed else value
@@ -121,7 +121,7 @@ class SubfieldLayout:
                 f"word {word} is not a {self.total_bits}-bit value"
             )
         out: Dict[str, int] = {}
-        for name, offset, width, signed in self._slots:
+        for name, offset, width, signed in self._slots:  # per-subfield, probed keys only  # repro-lint: disable=H3
             raw = extract_bits(word, offset, width)
             out[name] = to_signed(raw, width) if signed else raw
         return out

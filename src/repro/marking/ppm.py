@@ -21,7 +21,8 @@ from typing import Dict, FrozenSet, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import (MarkingScheme, VictimAnalysis, _coin_hop_array,
+                                _probe_map)
 from repro.marking.ppm_encoding import EdgeMark, MarkEncoder
 from repro.marking.ppm_reconstruct import reconstruct_paths
 from repro.network.packet import Packet
@@ -61,6 +62,9 @@ class PpmScheme(MarkingScheme):
 
     def _on_attach(self, topology: Topology) -> None:
         self.encoder.attach(topology)
+        # Columnar memos of the encoder's two pure branch transforms.
+        self._start_memo: Dict[int, int] = {}
+        self._continue_memo: Dict[int, int] = {}
 
     # -- switch side -------------------------------------------------------
     def on_inject(self, packet: Packet, node: int) -> None:
@@ -74,6 +78,26 @@ class PpmScheme(MarkingScheme):
         else:
             word = self.encoder.write_continue(word, from_node)
         packet.header.identification = word
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: one coin per row from ``rng``, then the
+        encoder's ``write_start`` (a function of the node) or
+        ``write_continue`` (of word and node), probed once per distinct key.
+        """
+        n = self._require_attached().num_nodes
+        enc = self.encoder
+
+        def start(mark: np.ndarray) -> np.ndarray:
+            return _probe_map(src[mark], self._start_memo,
+                              lambda node: enc.write_start(0, node))
+
+        def cont(rest: np.ndarray) -> np.ndarray:
+            return _probe_map(words[rest] * n + src[rest], self._continue_memo,
+                              lambda key: enc.write_continue(*divmod(key, n)))
+
+        return _coin_hop_array(words, rng, self.probability, start, cont)
 
     # -- victim side -------------------------------------------------------
     def new_victim_analysis(self, victim: int) -> "PpmVictimAnalysis":

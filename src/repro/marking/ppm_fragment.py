@@ -22,7 +22,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError, FieldLayoutError, MarkingError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import (MarkingScheme, VictimAnalysis, _coin_hop_array,
+                                _probe_map)
 from repro.marking.field import SubfieldLayout
 from repro.marking.ppm_encoding import EdgeMark, gray_label, gray_label_bits, gray_unlabel
 from repro.marking.ppm_reconstruct import reconstruct_paths
@@ -148,25 +149,60 @@ class FragmentPpmScheme(MarkingScheme):
 
     def _on_attach(self, topology: Topology) -> None:
         self.encoder.attach(topology)
+        # Columnar memos of the two pure branch transforms below.
+        self._start_memo: Dict[int, int] = {}
+        self._continue_memo: Dict[int, int] = {}
 
     def on_inject(self, packet: Packet, node: int) -> None:
         self._require_attached()
         packet.header.identification = 0
 
-    def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
+    def _start_mark(self, from_node: int, to_node: int, offset: int) -> int:
+        """Marking branch: fragment ``offset`` of edge (from, to), distance 0."""
         enc = self.encoder
+        return enc.layout.pack({
+            "fragment": enc.fragment_of(enc.edge_word(from_node, to_node),
+                                        offset),
+            "offset": offset,
+            "distance": 0,
+        })
+
+    def _continue_mark(self, word: int) -> int:
+        """Else-branch: count the hop (saturating), fragment untouched."""
+        enc = self.encoder
+        values = enc.layout.unpack(word)
+        values["distance"] = min(values["distance"] + 1, enc.max_distance)
+        return enc.layout.pack(values)
+
+    def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         if self.rng.random() < self.probability:
-            offset = int(self.rng.integers(enc.num_fragments))
-            word = enc.edge_word(from_node, to_node)
-            packet.header.identification = enc.layout.pack({
-                "fragment": enc.fragment_of(word, offset),
-                "offset": offset,
-                "distance": 0,
-            })
+            offset = int(self.rng.integers(self.encoder.num_fragments))
+            word = self._start_mark(from_node, to_node, offset)
         else:
-            values = enc.layout.unpack(packet.header.identification)
-            values["distance"] = min(values["distance"] + 1, enc.max_distance)
-            packet.header.identification = enc.layout.pack(values)
+            word = self._continue_mark(packet.header.identification)
+        packet.header.identification = word
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: one coin per row from ``rng``, then one
+        fragment offset per marking row, then :meth:`_start_mark` or
+        :meth:`_continue_mark`, probed once per distinct key."""
+        n = self._require_attached().num_nodes
+        k = self.encoder.num_fragments
+
+        def start(mark: np.ndarray) -> np.ndarray:
+            offsets = rng.integers(k, size=int(np.count_nonzero(mark)))
+            keys = (src[mark] * n + dst[mark]) * k + offsets
+            return _probe_map(
+                keys, self._start_memo,
+                lambda key: self._start_mark(*divmod(key // k, n), key % k))
+
+        def cont(rest: np.ndarray) -> np.ndarray:
+            return _probe_map(words[rest], self._continue_memo,
+                              self._continue_mark)
+
+        return _coin_hop_array(words, rng, self.probability, start, cont)
 
     def new_victim_analysis(self, victim: int) -> "FragmentVictimAnalysis":
         return FragmentVictimAnalysis(self, victim)

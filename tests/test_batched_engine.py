@@ -4,12 +4,10 @@ The statistical-equivalence matrix lives in
 ``test_properties_batched_equivalence.py``; this file covers the engine's
 mechanics: conservation accounting, the supported-feature guards, config
 round-tripping (and cache-key stability for exact-mode configs), the CLI
-surface, profiler integration, bulk injection, and the legacy
-``launch_attack`` deprecation funnel.
+surface, profiler integration, and bulk injection.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -376,46 +374,6 @@ class TestBulkInjection:
         assert fabric.n_injected == len(ids) > 0
         assert fabric.n_injected == (fabric.counters["delivered"]
                                      + fabric.counters["dropped"])
-
-
-# ----------------------------------------------------------------------
-# Legacy launch_attack deprecation funnel
-# ----------------------------------------------------------------------
-class TestLegacyLaunchAttackWarning:
-    def _cluster(self):
-        return Cluster(Mesh((4, 4)), DimensionOrderRouter(),
-                       marking=DdpmScheme(), seed=0)
-
-    def test_warns_exactly_once_per_call(self):
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "AttackSpec" in str(relevant[0].message)
-
-    def test_repeat_calls_warn_again(self):
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 2
-
-    def test_spec_form_does_not_warn(self):
-        from repro.attack.scenario import FloodAttackSpec
-
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(FloodAttackSpec(num_attackers=2,
-                                                  duration=0.5))
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
 
 
 # ----------------------------------------------------------------------

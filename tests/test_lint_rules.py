@@ -296,6 +296,39 @@ class TestH3NoPerPacketPythonInBatchedPath:
                           "        port[node] = 0\n")
         assert "H3" not in rules_hit(report)
 
+    def test_flags_per_row_loop_in_marking_on_hop_array(self):
+        # The cohort round calls each scheme's on_hop_array, so the marking
+        # modules sit on the batched path: a per-row loop there is flagged
+        # through the call graph like one in the engine itself.
+        report = lint_sources([
+            (self.BATCHED,
+             "class CohortEngine:\n"
+             "    def advance(self, words, src, dst, ttls):\n"
+             "        self.marking.on_hop_array(words, src, dst, ttls, None)\n"),
+            ("src/repro/marking/ddpm.py",
+             "class DdpmScheme:\n"
+             "    def on_hop_array(self, words, src, dst, ttls, rng):\n"
+             "        for i in range(words.size):\n"
+             "            words[i] += dst[i] - src[i]\n"
+             "        return words\n"),
+        ], select=["H3"])
+        assert rules_hit(report) == {"H3"}
+        assert [(v.path, v.line) for v in report.violations] == [
+            ("src/repro/marking/ddpm.py", 3)]
+
+    def test_in_tree_batched_path_passes_as_one_program(self):
+        # Linted together, the engine's roots reach into the marking
+        # modules; every loop they reach carries an audited suppression.
+        from pathlib import Path
+
+        from repro.lint.determinism import _BATCHED_PATH_MODULES
+
+        files = [(f"src/repro/{module}",
+                  Path(f"src/repro/{module}").read_text())
+                 for module in sorted(_BATCHED_PATH_MODULES)]
+        report = lint_sources(files, select=["H3"])
+        assert report.ok, report.violations
+
     def test_in_tree_batched_modules_pass(self):
         # The real cohort engine and columnar queue must satisfy their own
         # rule (their sanctioned setup loops carry explicit suppressions).

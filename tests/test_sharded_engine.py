@@ -4,16 +4,15 @@ Bit-level identity with the batched engine is property-tested in
 ``test_properties_batched_equivalence.py``; this file covers the sharded
 engine's own machinery — shard-count validation, worker transports,
 conservation, the unsupported-feature guards (each naming its fallback),
-config/CLI plumbing, profiler window counters, and the legacy
-``launch_attack`` deprecation funnel.
+config/CLI plumbing, profiler window counters, and spec-armed attacks.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
+from repro.attack.scenario import FloodAttackSpec
 from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
@@ -272,34 +271,12 @@ class TestProfiler:
 
 
 # ----------------------------------------------------------------------
-# Legacy launch_attack funnel on the sharded path (satellite 6)
+# Spec-armed attacks on the sharded path
 # ----------------------------------------------------------------------
-class TestLegacyLaunchAttackWarning:
-    def test_sharded_warns_exactly_once_per_call(self):
+class TestSpecLaunch:
+    def test_sharded_run_completes_after_spec_launch(self):
         cluster = _sharded_cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "AttackSpec" in str(relevant[0].message)
-
-    def test_sharded_repeat_calls_warn_again(self):
-        cluster = _sharded_cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 2
-
-    def test_sharded_run_completes_after_legacy_launch(self):
-        cluster = _sharded_cluster()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
+        cluster.launch_attack(FloodAttackSpec(num_attackers=2, duration=0.5))
         cluster.run()
         assert cluster.fabric.counters["delivered"] > 0
 
