@@ -16,9 +16,11 @@ for ``check_throughput.py``:
   takes minutes here); its packets/s is regression-checked against the
   committed baseline like every other metric.
 
-Workload generation uses the columnar bulk path
-(:func:`~repro.attack.traffic.schedule_background_bulk`) — the point of the
-batched mode is that *no* stage is per-packet Python, injection included.
+Background rows come from :func:`uniform_background`, this harness's
+array-drawn Poisson workload (the law of
+:func:`~repro.attack.traffic.schedule_background` with uniform
+destinations, drawn as whole arrays), so arming stays a small share of the
+timed run.
 """
 
 import json
@@ -26,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.attack.traffic import (UniformRandomPattern, schedule_background,
-                                  schedule_background_bulk)
+from repro.attack.traffic import UniformRandomPattern, schedule_background
 from repro.core.cluster import Cluster
 from repro.engine.watchdog import Watchdog
 from repro.marking import DdpmScheme
@@ -47,6 +48,23 @@ def _merge_results(key, entry):
     RESULTS_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
+def uniform_background(fabric, *, rate, duration, rng):
+    """Poisson background with uniform destinations, drawn as arrays.
+
+    Order-statistics construction: each node sends ``Poisson(rate *
+    duration)`` packets at i.i.d. uniform times over ``[0, duration)``, the
+    law :func:`schedule_background` draws gap by gap, to a uniformly random
+    other node. Returns the ids ``fabric.inject_rows`` allocated.
+    """
+    num_nodes = fabric.topology.num_nodes
+    counts = rng.poisson(rate * duration, size=num_nodes)
+    srcs = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
+    delays = rng.random(srcs.size) * duration
+    drawn = rng.integers(num_nodes - 1, size=srcs.size)
+    dests = drawn + (drawn >= srcs)
+    return fabric.inject_rows(delays, srcs, None, dests, payload_bytes=64)
+
+
 def _build_matched_fabric(seed=0):
     """The exact benchmark's workload, captured columnarly."""
     topology = Torus((8, 8))
@@ -55,8 +73,7 @@ def _build_matched_fabric(seed=0):
     fabric.selection = LeastCongestedPolicy(fabric.congestion,
                                             np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    schedule_background_bulk(fabric, UniformRandomPattern(), rate=25.0,
-                             duration=2.0, rng=rng)
+    uniform_background(fabric, rate=25.0, duration=2.0, rng=rng)
     return fabric
 
 
@@ -93,9 +110,8 @@ def test_batched_fabric_torus64_flood(benchmark, report):
         victim = cluster.default_victim()
         cluster.launch_ddos(victim=victim, num_attackers=16,
                             attack_rate_per_node=100.0, duration=2.0)
-        schedule_background_bulk(cluster.fabric, UniformRandomPattern(),
-                                 rate=2.0, duration=2.0,
-                                 rng=np.random.default_rng(1))
+        uniform_background(cluster.fabric, rate=2.0, duration=2.0,
+                           rng=np.random.default_rng(1))
         cluster.run()
         fabric = cluster.fabric
         return (fabric.counters["delivered"], fabric.counters["dropped"],
@@ -120,10 +136,10 @@ def test_batched_fabric_torus64_flood(benchmark, report):
 
 
 def test_bulk_background_matches_scalar_law(report):
-    """Sanity: the bulk generator produces the scalar generator's workload.
+    """Sanity: the harness's array draws produce the scalar workload.
 
     Not a timing benchmark — a statistical guard that the order-statistics
-    construction in ``schedule_background_bulk`` is the same Poisson process
+    construction in :func:`uniform_background` is the same Poisson process
     ``schedule_background`` builds packet by packet (counts within a few
     standard deviations, times inside the window).
     """
@@ -136,9 +152,8 @@ def test_bulk_background_matches_scalar_law(report):
                                   rng=np.random.default_rng(7))
     batched = BatchedFabric(topology, MinimalAdaptiveRouter(),
                             marking=DdpmScheme())
-    ids = schedule_background_bulk(batched, UniformRandomPattern(),
-                                   rate=25.0, duration=2.0,
-                                   rng=np.random.default_rng(7))
+    ids = uniform_background(batched, rate=25.0, duration=2.0,
+                             rng=np.random.default_rng(7))
     expected = 25.0 * 2.0 * topology.num_nodes
     sigma = expected ** 0.5
     assert abs(len(packets) - expected) < 6 * sigma

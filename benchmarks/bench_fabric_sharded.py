@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.attack.traffic import UniformRandomPattern, schedule_background_bulk
+from bench_fabric_batched import uniform_background
 from repro.core.cluster import Cluster
 from repro.engine.watchdog import Watchdog
 from repro.marking import DdpmScheme
@@ -54,9 +54,8 @@ def _run_flood(engine, shards=None):
     victim = cluster.default_victim()
     cluster.launch_ddos(victim=victim, num_attackers=16,
                         attack_rate_per_node=100.0, duration=2.0)
-    schedule_background_bulk(cluster.fabric, UniformRandomPattern(),
-                             rate=2.0, duration=2.0,
-                             rng=np.random.default_rng(1))
+    uniform_background(cluster.fabric, rate=2.0, duration=2.0,
+                       rng=np.random.default_rng(1))
     cluster.run()
     fabric = cluster.fabric
     return (fabric.counters["delivered"], fabric.counters["dropped"],

@@ -45,14 +45,12 @@ class AttackTrafficResult:
                                                  repr=False)
 
     def freeze_ids(self) -> Set[int]:
-        """Snapshot the attack packet ids.
+        """Snapshot the attack packet ids into one cached set.
 
-        Called once at schedule time: ids are assigned when rows are
-        scheduled (``Fabric.inject_rows``), and a pooled fabric may recycle
-        Packet objects (with fresh ids) after delivery, so the ground truth
-        must be captured before the run — and a snapshot turns the previous per-call set rebuild
-        (quadratic when used as a per-packet membership test) into one
-        O(1)-lookup set.
+        Called once at schedule time, after ``Fabric.inject_rows`` has
+        assigned the ids. The cached set makes :meth:`is_attack_packet` an
+        O(1) lookup instead of a per-call set rebuild (quadratic when used
+        as a per-packet membership test).
         """
         rows = self.attack_packets
         if isinstance(rows, np.ndarray):
@@ -84,8 +82,8 @@ class AttackTrafficResult:
         """Record one attack packet created *after* scheduling.
 
         Dynamic scenarios (worm scans, reflector replies) emit packets
-        mid-run; this keeps the ground-truth id set live by snapshotting
-        the id at creation time, before any pool recycling can occur.
+        mid-run; this keeps the cached ground-truth id set live by adding
+        each id as the packet is created.
         """
         self.attack_packets.append(packet)
         if self._frozen_ids is None:

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.attack.flows import Rows
 from repro.errors import ConfigurationError
-from repro.network.colqueue import BatchedFabric
 from repro.network.fabric import Fabric
 from repro.topology.base import Topology
 from repro.util.validation import check_in_range, check_probability
@@ -31,7 +30,6 @@ __all__ = [
     "HotspotPattern",
     "PermutationPattern",
     "schedule_background",
-    "schedule_background_bulk",
 ]
 
 
@@ -45,19 +43,6 @@ class TrafficPattern(ABC):
                     rng: np.random.Generator) -> int:
         """Destination node for one packet injected at ``source``."""
 
-    def destinations(self, sources: np.ndarray, topology: Topology,
-                     rng: np.random.Generator) -> np.ndarray:
-        """Vectorized twin of :meth:`destination` for columnar injection.
-
-        The base implementation draws one row at a time (same law, same
-        per-row draws as the scalar method); patterns with closed-form
-        structure override it with a single array computation.
-        """
-        return np.fromiter(
-            (self.destination(int(source), topology, rng)
-             for source in sources),
-            dtype=np.int64, count=len(sources))
-
 
 class UniformRandomPattern(TrafficPattern):
     """Each packet targets a uniformly random other node."""
@@ -68,13 +53,6 @@ class UniformRandomPattern(TrafficPattern):
                     rng: np.random.Generator) -> int:
         dst = int(rng.integers(topology.num_nodes - 1))
         return dst if dst < source else dst + 1
-
-    def destinations(self, sources: np.ndarray, topology: Topology,
-                     rng: np.random.Generator) -> np.ndarray:
-        # Same skip-self construction as the scalar draw, one array at a
-        # time: draw over N-1 slots and shift the values at/above self.
-        drawn = rng.integers(topology.num_nodes - 1, size=len(sources))
-        return drawn + (drawn >= sources)
 
 
 class TransposePattern(TrafficPattern):
@@ -211,41 +189,4 @@ def schedule_background(fabric: Fabric, pattern: TrafficPattern, *,
             delays.append(t)
             t += float(exponential(gap))
     return fabric.inject_rows(delays, srcs, None, dsts, flow_id=flow_id,
-                              payload_bytes=payload_bytes)
-
-
-def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
-                             rate: float, duration: float,
-                             rng: np.random.Generator,
-                             sources: Optional[Sequence[int]] = None,
-                             start: float = 0.0,
-                             payload_bytes: int = 64) -> np.ndarray:
-    """Array-drawn twin of :func:`schedule_background` for columnar fabrics.
-
-    Generates the same Poisson workload via the order-statistics
-    construction — each source's packet count is ``Poisson(rate * duration)``
-    and its arrival times are i.i.d. uniform over the window, which is
-    distributionally identical to summing exponential gaps — and hands the
-    rows to ``fabric.inject_rows``. Statistically equivalent to
-    :func:`schedule_background`, not draw-for-draw identical (the RNG is
-    consumed in array draws), so it is reserved for the columnar fabrics.
-    Returns the allocated packet ids.
-    """
-    check_in_range(rate, "rate", 1e-12, float("inf"))
-    check_in_range(duration, "duration", 0.0, float("inf"))
-    if not isinstance(fabric, BatchedFabric):
-        raise ConfigurationError(
-            "schedule_background_bulk draws whole arrays and requires a "
-            "batched fabric (engine='batched'); use schedule_background "
-            "with the exact engine"
-        )
-    topology = fabric.topology
-    nodes = (np.fromiter(topology.nodes(), dtype=np.int64,
-                         count=topology.num_nodes)
-             if sources is None else np.asarray(list(sources), dtype=np.int64))
-    counts = rng.poisson(rate * duration, size=len(nodes))
-    srcs = np.repeat(nodes, counts)
-    delays = start + rng.random(srcs.size) * duration
-    dests = pattern.destinations(srcs, topology, rng)
-    return fabric.inject_rows(delays, srcs, None, dests,
                               payload_bytes=payload_bytes)

@@ -9,9 +9,9 @@ joins facts across files.
 
 Invalidation is deliberately blunt:
 
-* the envelope carries :data:`CACHE_VERSION` — bump it whenever a rule's
-  semantics, the fact schemas, or the violation format change, and the
-  whole cache is discarded;
+* the envelope carries :func:`linter_digest`, a sha256 of the linter's own
+  sources — editing any rule, fact schema, or the entry layout discards
+  the whole cache, with nothing to bump by hand;
 * the envelope also carries the selected rule set — a ``--select`` run
   and a full run never share entries;
 * entries for files not seen in the current run are dropped on save, so
@@ -28,12 +28,12 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
+from pathlib import Path
 from typing import Any, Dict, Iterable, Optional
 
-__all__ = ["LintCache", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"]
-
-#: bump on any change to rule semantics, fact schemas, or entry layout.
-CACHE_VERSION = 2
+__all__ = ["LintCache", "DEFAULT_CACHE_PATH", "content_hash",
+           "linter_digest"]
 
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
@@ -41,6 +41,16 @@ DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 def content_hash(source: str) -> str:
     """Stable key for one file's text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+@lru_cache(maxsize=1)
+def linter_digest() -> str:
+    """sha256 over the names and bytes of the ``repro/lint/*.py`` sources."""
+    digest = hashlib.sha256()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.name.encode("utf-8") + b"\0")
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
 
 
 class LintCache:
@@ -63,7 +73,7 @@ class LintCache:
             return
         if not isinstance(document, dict):
             return
-        if document.get("version") != CACHE_VERSION:
+        if document.get("linter") != linter_digest():
             return
         if document.get("rules") != self.selected:
             return
@@ -93,7 +103,7 @@ class LintCache:
     def save(self) -> None:
         """Write the entries touched this run (atomic replace, best effort)."""
         document = {
-            "version": CACHE_VERSION,
+            "linter": linter_digest(),
             "rules": self.selected,
             "files": self._touched,
         }

@@ -23,7 +23,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, IdentificationError
-from repro.marking.base import MarkingScheme
 from repro.marking.ddpm import DdpmScheme
 from repro.network.packet import Packet
 from repro.topology.base import Topology
@@ -110,7 +109,7 @@ class AuthenticatedDdpmScheme(DdpmScheme):
                      rng: np.random.Generator) -> np.ndarray:
         """Refused, not inherited from DDPM: the per-hop audit trail rides
         in packet payloads, which the columnar engines do not carry."""
-        return MarkingScheme.on_hop_array(self, words, src, dst, ttls, rng)
+        raise self._columnar_refusal()
 
     @staticmethod
     def _trail_of(packet: Packet) -> List[AuditEntry]:

@@ -154,7 +154,11 @@ class MarkingScheme(ABC):
         order and any marking draws come from ``rng``. Default refuses: a
         scheme without a columnar transform runs on the exact engine only.
         """
-        raise ConfigurationError(
+        raise self._columnar_refusal()
+
+    def _columnar_refusal(self) -> ConfigurationError:
+        """The error a columnar half raises when the scheme has none."""
+        return ConfigurationError(
             f"marking scheme {self.name!r} is not supported by the batched "
             "engine; use engine='exact'"
         )

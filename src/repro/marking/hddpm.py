@@ -100,6 +100,11 @@ class HierarchicalDdpmScheme(MarkingScheme):
         zero = (0,) * len(self.cluster.backbone.dims)
         packet.header.identification = self._pack(self.cluster.port_of(node), zero)
 
+    def inject_array(self, n: int) -> np.ndarray:
+        """Refused: the inject word carries the injecting host's port, and
+        ``inject_array`` is given no node column to read it from."""
+        raise self._columnar_refusal()
+
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         """Backbone hops accumulate deltas; host<->switch hops are neutral."""
         self._require_attached()

@@ -39,7 +39,7 @@ from repro.network.flowcontrol import ServiceModel, VirtualCutThrough
 from repro.network.ip import IPHeader, DEFAULT_TTL
 from repro.network.markstream import BatchConsumer, DeliveryRing
 from repro.network.nic import DeliveredPacket, Nic
-from repro.network.packet import Packet, PacketKind, PacketPool
+from repro.network.packet import Packet, PacketKind
 from repro.network.switch import Switch
 from repro.routing.base import Router
 from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
@@ -103,8 +103,7 @@ class Fabric:
                  config: Optional[FabricConfig] = None,
                  service: Optional[ServiceModel] = None,
                  sim: Optional[Simulator] = None,
-                 address_map: Optional[AddressMap] = None,
-                 pool: Optional[PacketPool] = None):
+                 address_map: Optional[AddressMap] = None):
         self.topology = topology
         self.router = router
         router.validate(topology)
@@ -116,13 +115,6 @@ class Fabric:
         self.marking = marking
         if marking is not None:
             marking.attach(topology)
-        #: optional packet freelist; when set, :meth:`make_packet` acquires
-        #: shells from it and the retirement paths (unobserved deliveries,
-        #: ring flushes, drops — including wire drops) release them back.
-        self.pool = pool
-        if pool is not None and self.sim.sanitizer is not None:
-            # Sanitized runs audit freelist transfers for double-release.
-            pool.sanitizer = self.sim.sanitizer
 
         #: shared memoized distance lookup (== topology.min_hops, but O(1));
         #: the switches' per-hop profitability test goes through this.
@@ -205,12 +197,9 @@ class Fabric:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         cfg = self.config
-        pool = self.pool
         for node in self.topology.nodes():
             self.switches.append(Switch(self, node, cfg.routing_delay))
-            nic = Nic(node)
-            nic.pool = pool
-            self.nics.append(nic)
+            self.nics.append(Nic(node))
         for u, v in self.topology.to_edge_list(include_failed=True):
             for a, b in ((u, v), (v, u)):
                 channel = Channel(
@@ -288,11 +277,6 @@ class Fabric:
             ttl=self.config.default_ttl,
             total_length=IPHeader.HEADER_BYTES + payload_bytes,
         )
-        pool = self.pool
-        if pool is not None:
-            return pool.acquire(header, src_node, dst_node, kind=kind,
-                                flow_id=flow_id, seq=seq,
-                                misroute_budget=self.config.misroute_budget)
         return Packet(header, src_node, dst_node, kind=kind, flow_id=flow_id,
                       seq=seq, misroute_budget=self.config.misroute_budget)
 
@@ -414,21 +398,15 @@ class Fabric:
     def drop(self, packet: Packet, at_node: int, reason: str) -> None:
         """Discard a packet, recording the reason.
 
-        Without a pool the packet itself is retained in ``dropped_packets``
-        for inspection; with one, the per-reason counters keep the full
-        story and the shell goes back to the freelist (this is the
-        pool-aware ejection path — wire drops on failed links arrive here
-        through :meth:`_on_wire_drop` too).
+        The packet itself is retained in ``dropped_packets`` for inspection
+        (wire drops on failed links arrive here through
+        :meth:`_on_wire_drop` too).
         """
         self.n_dropped += 1
         self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
         for handler in self._drop_handlers:
             handler(packet, at_node, reason)
-        pool = self.pool
-        if pool is None:
-            self.dropped_packets.append((packet, at_node, reason))
-        else:
-            pool.release(packet)
+        self.dropped_packets.append((packet, at_node, reason))
 
     def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
         """Observe drops (used by tests and failure-injection experiments)."""
@@ -452,8 +430,7 @@ class Fabric:
         in result accessors — is the sanctioned batch-flush surface the
         H2 lint rule points per-packet registrations toward.
         """
-        ring = DeliveryRing(node, capacity, pool=self.pool,
-                            profiler=self.sim.profile)
+        ring = DeliveryRing(node, capacity, profiler=self.sim.profile)
         self.nics[node].attach_sink(ring)
         self._delivery_sinks.append(ring)
         if consumer is not None:

@@ -19,7 +19,7 @@ from repro.core.experiment import run_identification_experiment
 from repro.errors import ConfigurationError
 from repro.marking import DdpmScheme
 from repro.network.colqueue import BatchedFabric, InjectionLog
-from repro.network.fabric import Fabric, FabricConfig
+from repro.network.fabric import FabricConfig
 from repro.network.packet import Packet, allocate_packet_ids
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.routing.selection import FirstCandidatePolicy
@@ -349,31 +349,6 @@ class TestBulkInjection:
             log.extend(np.array([0.1]), np.array([1, 2]), np.array([3]),
                        np.array([4]), np.array([5]), np.array([6]),
                        np.array([7]))
-
-    def test_bulk_background_requires_batched_fabric(self):
-        from repro.attack.traffic import (UniformRandomPattern,
-                                          schedule_background_bulk)
-
-        fabric = Fabric(Mesh((4, 4)), DimensionOrderRouter())
-        with pytest.raises(ConfigurationError, match="batched"):
-            schedule_background_bulk(fabric, UniformRandomPattern(),
-                                     rate=5.0, duration=1.0,
-                                     rng=np.random.default_rng(0))
-
-    def test_bulk_background_runs_and_conserves(self):
-        from repro.attack.traffic import (UniformRandomPattern,
-                                          schedule_background_bulk)
-
-        fabric = BatchedFabric(Mesh((4, 4)), MinimalAdaptiveRouter(),
-                               marking=DdpmScheme())
-        fabric.selection = FirstCandidatePolicy()
-        ids = schedule_background_bulk(fabric, UniformRandomPattern(),
-                                       rate=10.0, duration=1.0,
-                                       rng=np.random.default_rng(3))
-        fabric.run()
-        assert fabric.n_injected == len(ids) > 0
-        assert fabric.n_injected == (fabric.counters["delivered"]
-                                     + fabric.counters["dropped"])
 
 
 # ----------------------------------------------------------------------

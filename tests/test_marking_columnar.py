@@ -163,7 +163,11 @@ def test_hierarchical_ddpm_refuses_by_name():
     scheme = registry.MARKING.create("hddpm", np.random.default_rng(0),
                                      topo, 0.5)
     scheme.attach(topo)
-    with pytest.raises(ConfigurationError,
-                       match=re.escape(repr(scheme.name)) + ".*engine='exact'"):
+    refusal = re.escape(repr(scheme.name)) + ".*engine='exact'"
+    # Both halves refuse: the inject word carries the injecting host's
+    # port, which inject_array(n) has no node column to read.
+    with pytest.raises(ConfigurationError, match=refusal):
+        scheme.inject_array(3)
+    with pytest.raises(ConfigurationError, match=refusal):
         scheme.on_hop_array(_empty(), _empty(), _empty(), _empty(),
                             np.random.default_rng(0))
